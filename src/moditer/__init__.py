@@ -1,6 +1,6 @@
 """Modular iterated integrals, multiple modular L-functions, and MZVs on Y0(4)."""
 
-from . import cli, forms, identities, iterint, lfun, mzv, qseries, quad
+from . import forms, identities, iterint, lfun, mzv, qseries, quad
 from .config import NumericsConfig
 from .errors import (
     AccuracyError,
@@ -10,9 +10,11 @@ from .errors import (
     PoleError,
     TruncationError,
 )
-from .kernels import BACKEND
 
 __version__ = "0.1.0"
+
+# numpy is the only numeric backend; the name stays for callers that report it
+BACKEND = "python"
 
 __all__ = [
     "qseries",

@@ -74,8 +74,11 @@ def _report_dict(r: RunReport) -> dict:
 
 def _emit(report: RunReport, output: str, stream) -> None:
     if output == "json":
-        json.dump(_report_dict(report), stream, indent=2)
-        stream.write("\n")
+        try:
+            text = json.dumps(_report_dict(report), indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise DomainError(f"report holds a non-finite number: {exc}") from exc
+        stream.write(text + "\n")
         return
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -224,9 +227,12 @@ def _resolve(name: str, reg: dict, order: int):
 
 def _parse_complex(tok: str) -> complex:
     try:
-        return complex(tok.replace("i", "j"))
+        z = complex(tok.replace("i", "j"))
     except ValueError:
         raise DomainError(f"cannot parse complex number {tok!r}")
+    if not cmath.isfinite(z):
+        raise DomainError(f"complex number {tok!r} is not finite")
+    return z
 
 
 def _parse_clist(text: str):
@@ -459,10 +465,25 @@ def verify_suite(name: str, config: NumericsConfig | None = None) -> RunReport:
 
 # --- dispatch ----------------------------------------------------------------------
 
+_VALUE_OPTIONS = ("--z", "--s")
+
+
+def _attach_values(argv) -> list:
+    """Rewrite `--z -0.1+1j` as `--z=-0.1+1j`: argparse would read a value
+    that starts with '-' but is not a plain real number as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _VALUE_OPTIONS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv) -> tuple:
     """Parse and execute; returns (RunReport, exit_code, output_mode)."""
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_attach_values(argv))
     if ns.subcommand is None:
         raise _UsageError("a subcommand is required")
     cfg = _config_from(ns)
@@ -486,13 +507,13 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         report, code, output = run(argv)
+        _emit(report, output, sys.stdout)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ModiterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, output, sys.stdout)
     print(f"wall time: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return code
 

@@ -7,6 +7,7 @@ object is constructed, so a long-running process sees a stable snapshot.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -65,14 +66,14 @@ class NumericsConfig:
     def __post_init__(self):
         if self.order < 1:
             raise DomainError("order must be >= 1")
-        if self.height <= 0:
-            raise DomainError("height must be positive")
+        if not (math.isfinite(self.height) and self.height > 0):
+            raise DomainError("height must be positive and finite")
         if self.panels < 4:
             raise DomainError("panels must be >= 4")
         if self.gl_order < 2:
             raise DomainError("gl_order must be >= 2")
-        if self.tol <= 0:
-            raise DomainError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise DomainError("tol must be positive and finite")
         if self.branch != "principal":
             raise DomainError(f"unsupported branch convention {self.branch!r}")
         if self.cutoff < 1:

@@ -12,13 +12,13 @@ import cmath
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import qseries
 from .config import NumericsConfig
 from .errors import DomainError, TruncationError
-from .kernels import horner_many
 
 __all__ = [
     "ModularForm",
@@ -64,17 +64,12 @@ class ModularForm:
     def is_cuspidal(self) -> bool:
         return not self.coeffs[0]
 
-    def _np_coeffs(self):
-        cached = _NP_CACHE.get(id(self))
-        if cached is None or cached[0] is not self:
-            arr = np.array([complex(c) for c in self.coeffs], dtype=complex)
-            arr.setflags(write=False)
-            _NP_CACHE[id(self)] = (self, arr)
-            cached = (self, arr)
-        return cached[1]
-
-
-_NP_CACHE: dict = {}
+    @cached_property
+    def _np_coeffs(self) -> np.ndarray:
+        # lives in the instance __dict__, so it is freed with the form
+        arr = np.array([complex(c) for c in self.coeffs], dtype=complex)
+        arr.setflags(write=False)
+        return arr
 
 
 def _set_fricke(f: ModularForm, g: ModularForm):
@@ -155,11 +150,19 @@ def evaluate_at(f: ModularForm, z: complex, config: NumericsConfig | None = None
     return value
 
 
+def horner_many(coeffs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """sum_n coeffs[n] * ws**n at every point of ws (coeffs in ascending powers)."""
+    acc = np.zeros(len(ws), dtype=complex)
+    for c in coeffs[::-1]:
+        acc = acc * ws + c
+    return acc
+
+
 def evaluate_many(f: ModularForm, zs: np.ndarray) -> np.ndarray:
     """Vectorized q-expansion evaluation (no tail policing; quadrature paths
     are kept inside the trusted region by construction)."""
     q = np.exp(2j * np.pi * np.asarray(zs, dtype=complex))
-    return horner_many(f._np_coeffs(), q)
+    return horner_many(f._np_coeffs, q)
 
 
 def fricke_evaluate(f: ModularForm, z: complex, config: NumericsConfig | None = None) -> complex:

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from numpy import convolve as conv_complex
 
 from . import quad
 from .config import NumericsConfig
 from .errors import DivergenceError, DomainError, PoleError
 from .forms import ModularForm, cusp_part, evaluate_many, fricke_companion
-from .kernels import conv_complex
 
 __all__ = [
     "IINF",
@@ -135,15 +135,15 @@ def ones_closed_form(b: complex, s_vec) -> complex:
     return cmath.exp(acc * cmath.log(b)) / denom
 
 
-def _quadrature_value(word_kernels, a, b, config):
-    """Raw nested quadrature; word_kernels outermost-first (I-notation)."""
-    path_order = [_kernel_callable(ks) for ks in reversed(word_kernels)]
+def _quadrature_value(word, a, b, config):
+    """Raw nested quadrature; word outermost-first (I-notation)."""
+    path_order = [_kernel_callable(ks) for ks in reversed(word)]
     if a is IINF:
         # count innermost layers with no exponential decay; they need the
         # power-law tail stack and a convergence guard
         t = 0
         acc = 0j
-        for ks in reversed(word_kernels):
+        for ks in reversed(word):
             if _decays(ks):
                 break
             t += 1

@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import convolve as conv_complex
 
 from . import identities, iterint
 from .config import NumericsConfig
 from .errors import DivergenceError, DomainError, PoleError, TruncationError
 from .forms import ModularForm
-from .kernels import conv_complex
 
 __all__ = [
     "LSpec",

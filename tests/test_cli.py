@@ -50,13 +50,19 @@ def test_json_shape_and_wall_time_on_stderr(capsys):
     assert len(v["value"]) == 2
 
 
-def test_byte_identical_output_across_processes(tmp_path):
-    cmd = [sys.executable, "-m", "moditer.cli", "iterint", "delta", "--s", "8"]
-    a = subprocess.run(cmd, capture_output=True, check=True).stdout
-    b = subprocess.run(cmd, capture_output=True, check=True).stdout
-    assert a == b
-    rep = json.loads(a)
-    assert rep["values"][0]["label"] == "I(delta; 8)"
+def test_byte_identical_output_across_processes():
+    for args, label in (
+        (["iterint", "delta", "--s", "8"], "I(delta; 8)"),
+        (["iterint", "delta", "delta", "--s", "9,2"], "I(delta,delta; 9,2)"),
+    ):
+        cmd = [sys.executable, "-m", "moditer.cli", *args]
+        a = subprocess.run(cmd, capture_output=True, check=True)
+        b = subprocess.run(cmd, capture_output=True, check=True)
+        assert a.stdout == b.stdout
+        assert b"RuntimeWarning" not in a.stderr
+        (v,) = json.loads(a.stdout)["values"]
+        assert v["label"] == label
+        assert v["value"][0] != 0.0
 
 
 def test_repeated_inprocess_runs_identical(capsys):
@@ -73,6 +79,22 @@ def test_exit_codes(capsys):
     assert run_cli(capsys, "funceq-verify", "--panels", "1")[0] == 1
     assert run_cli(capsys, "mzv", "--index", "1,2")[0] == 1  # inadmissible
     assert run_cli(capsys)[0] == 1
+    for argv in (
+        ("lvalue", "delta", "--s", "nan"),
+        ("eval", "delta", "--z", "nan+1j"),
+        ("iterint", "delta", "--s", "nan"),
+        ("iterint", "delta", "--s", "8", "--tol", "nan"),
+        ("qexp", "F", "--height", "inf"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: "), argv
+
+
+def test_negative_value_after_option(capsys):
+    code, spaced, _ = run_cli(capsys, "eval", "delta", "--z", "-0.1+1j")
+    assert code == 0
+    assert spaced == run_cli(capsys, "eval", "delta", "--z=-0.1+1j")[1]
 
 
 def test_failing_check_exits_two(capsys):
@@ -89,6 +111,9 @@ def test_env_and_flag_precedence(capsys, monkeypatch):
     _, rep = run_json(capsys, "qexp", "F", "--order", "5")
     assert len(rep["data"]["coeffs"]) == 6
     monkeypatch.setenv("MODITER_ORDER", "junk")
+    assert run_cli(capsys, "qexp", "F")[0] == 1
+    monkeypatch.delenv("MODITER_ORDER")
+    monkeypatch.setenv("MODITER_TOL", "nan")
     assert run_cli(capsys, "qexp", "F")[0] == 1
 
 

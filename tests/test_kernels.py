@@ -1,27 +1,14 @@
-"""Backend equivalence for the hot numerical loops.
-
-The compiled extension and the numpy fallback must agree bitwise on finite
-inputs: report output is required to be byte-identical no matter which
-backend the import selected.
+"""The two numerical kernels: batched Horner evaluation of q-expansions
+(forms.horner_many) and the coefficient convolution of the Dirichlet
+cascades (np.convolve, imported as conv_complex by lfun and iterint).
 """
 
-import json
-import os
-import subprocess
-import sys
+import gc
+import weakref
 
 import numpy as np
-import pytest
 
-from moditer import kernels
-from moditer import _kernels_py
-
-try:
-    from moditer import _kernels
-except ImportError:
-    _kernels = None
-
-needs_ext = pytest.mark.skipif(_kernels is None, reason="extension not built")
+from moditer import forms, iterint, lfun, qseries
 
 
 def _random_batch(rng, n, m, scale=1.0):
@@ -29,81 +16,54 @@ def _random_batch(rng, n, m, scale=1.0):
     return mk(n), mk(m)
 
 
-@needs_ext
-def test_horner_bitwise_equal():
-    # evaluation points live where the library uses them: |w| <= ~1 (powers
-    # of q).  Far outside that disk high powers overflow and the backends
-    # legitimately differ in inf/nan handling (no Annex G fixup in numpy).
-    rng = np.random.default_rng(1)
-    for _ in range(60):
-        n = int(rng.integers(1, 600))
-        m = int(rng.integers(1, 600))
-        scale = 10.0 ** float(rng.integers(-4, 5))
-        coeffs = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
-        ws = rng.uniform(0, 1.02, m) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
-        got = _kernels.horner_many(coeffs, ws)
-        want = _kernels_py.horner_many(coeffs, ws)
-        assert np.array_equal(got, want)
-
-
-@needs_ext
-def test_conv_bitwise_equal():
-    rng = np.random.default_rng(2)
-    for _ in range(60):
-        n = int(rng.integers(1, 400))
-        m = int(rng.integers(1, 400))
-        a, b = _random_batch(rng, n, m)
-        got = _kernels.conv_complex(a, b)
-        want = _kernels_py.conv_complex(a, b)
-        assert np.array_equal(got, want)
-
-
 def test_horner_matches_polyval():
     rng = np.random.default_rng(3)
     coeffs, ws = _random_batch(rng, 30, 50)
-    got = kernels.horner_many(coeffs, ws)
+    got = forms.horner_many(coeffs, ws)
     want = np.polyval(coeffs[::-1], ws)
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
-def test_conv_matches_npconvolve():
-    rng = np.random.default_rng(4)
-    a, b = _random_batch(rng, 80, 17)
-    got = kernels.conv_complex(a, b)
-    want = np.convolve(a, b)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+def test_conv_exact_on_integer_coefficients():
+    order = 200
+    g = qseries.builtin_form("G", order)
+    for a in (g, qseries.builtin_form("F", order)):
+        # every product and partial sum stays below 2^53, so the complex
+        # convolution is exact and must reproduce the exact q-series product
+        bound = (order + 1) * max(map(abs, a.coeffs)) * max(map(abs, g.coeffs))
+        assert bound < 2**53
+        got = lfun.conv_complex(np.array(a.coeffs, dtype=complex),
+                                np.array(g.coeffs, dtype=complex))[: order + 1]
+        assert got.tolist() == [complex(c) for c in (a * g).coeffs]
+
+    # delta x delta outgrows float64; in integer arithmetic it is exact too
+    d = qseries.builtin_form("delta", order)
+    dd = np.array(d.coeffs, dtype=object)
+    assert iterint.conv_complex(dd, dd)[: order + 1].tolist() == list((d * d).coeffs)
 
 
 def test_conv_commutes_bitwise():
-    # the dispatcher always drives the outer loop with the shorter factor,
-    # so argument order cannot change the accumulation order
+    # np.convolve always slides the shorter factor, so argument order cannot
+    # change the accumulation order
     rng = np.random.default_rng(5)
     a, b = _random_batch(rng, 90, 13)
-    assert np.array_equal(kernels.conv_complex(a, b), kernels.conv_complex(b, a))
+    assert np.array_equal(lfun.conv_complex(a, b), lfun.conv_complex(b, a))
 
 
 def test_edge_lengths():
     one = np.array([2.0 + 1.0j])
-    assert np.array_equal(kernels.conv_complex(one, one), np.array([3.0 + 4.0j]))
-    empty_poly = kernels.horner_many(np.zeros(1, complex), np.array([5.0 + 0j]))
+    assert np.array_equal(lfun.conv_complex(one, one), np.array([3.0 + 4.0j]))
+    empty_poly = forms.horner_many(np.zeros(1, complex), np.array([5.0 + 0j]))
     assert empty_poly[0] == 0
 
 
-def test_env_var_forces_fallback():
-    env = dict(os.environ, MODITER_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from moditer import kernels; print(kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    ).stdout.strip()
-    assert out == "python"
-
-
-@needs_ext
-def test_reports_byte_identical_across_backends():
-    cmd = [sys.executable, "-m", "moditer.cli", "iterint", "delta", "delta",
-           "--s", "9,2"]
-    fast = subprocess.run(cmd, capture_output=True, check=True).stdout
-    env = dict(os.environ, MODITER_PURE_PYTHON="1")
-    slow = subprocess.run(cmd, capture_output=True, env=env, check=True).stdout
-    assert fast == slow
-    assert json.loads(fast)["values"][0]["value"][0] != 0.0
+def test_cusp_part_form_freed_after_evaluate_many():
+    # the coefficient array is cached on the form itself, so a throwaway
+    # cusp part does not outlive its last reference
+    f0 = forms.cusp_part(forms.builtin("E4", 50))
+    vals = forms.evaluate_many(f0, np.array([0.1 + 1.0j, 0.3 + 0.5j]))
+    assert np.all(np.isfinite(vals))
+    ref = weakref.ref(f0)
+    del f0
+    gc.collect()
+    assert ref() is None

@@ -73,11 +73,11 @@ def _report_dict(r: RunReport) -> dict:
 
 
 def _emit(report: RunReport, output: str, stream) -> None:
+    try:
+        text = json.dumps(_report_dict(report), indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"report holds a non-finite number: {exc}") from exc
     if output == "json":
-        try:
-            text = json.dumps(_report_dict(report), indent=2, allow_nan=False)
-        except ValueError as exc:
-            raise DomainError(f"report holds a non-finite number: {exc}") from exc
         stream.write(text + "\n")
         return
     buf = io.StringIO()
@@ -203,7 +203,7 @@ def _config_dict(cfg: NumericsConfig) -> dict:
         "panels": cfg.panels,
         "gl_order": cfg.gl_order,
         "tol": _f15(cfg.tol),
-        "branch": cfg.branch,
+        "branch": "principal",
         "cutoff": cfg.cutoff,
     }
 
@@ -260,9 +260,7 @@ def _run_qexp(ns, cfg, reg) -> RunReport:
 def _run_eval(ns, cfg, reg) -> RunReport:
     f = _resolve(ns.name, reg, max(cfg.order, 200))
     z = _parse_complex(ns.z)
-    val = forms.evaluate_at(f, z)
-    q = cmath.exp(2j * cmath.pi * z)
-    err = abs(complex(f.coeffs[f.order])) * abs(q) ** f.order
+    val, err = forms.evaluate_at_with_tail(f, z)
     rep = RunReport("eval", {"name": ns.name, "z": ns.z}, _config_dict(cfg))
     rep.values.append(_value_entry(f"{ns.name}({ns.z})", val, err))
     return rep

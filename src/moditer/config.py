@@ -51,7 +51,6 @@ class NumericsConfig:
     panels    -- number of quadrature panels on the main path segment
     gl_order  -- Gauss-Legendre nodes per panel
     tol       -- target absolute accuracy for quadrature results
-    branch    -- complex power convention; only "principal" is implemented
     cutoff    -- default number of terms for Dirichlet-type series
     """
 
@@ -60,7 +59,6 @@ class NumericsConfig:
     panels: int = _env_default("panels", 64)
     gl_order: int = _env_default("gl_order", 16)
     tol: float = _env_default("tol", 1e-8)
-    branch: str = "principal"
     cutoff: int = _env_default("cutoff", 2000)
 
     def __post_init__(self):
@@ -74,8 +72,6 @@ class NumericsConfig:
             raise DomainError("gl_order must be >= 2")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise DomainError("tol must be positive and finite")
-        if self.branch != "principal":
-            raise DomainError(f"unsupported branch convention {self.branch!r}")
         if self.cutoff < 1:
             raise DomainError("cutoff must be >= 1")
 

@@ -129,25 +129,26 @@ def _tail_bound(f: ModularForm, y: float) -> float:
 
 
 def evaluate_at_with_tail(f: ModularForm, z: complex, config: NumericsConfig | None = None):
-    """(value, heuristic tail bound |a_j| e^{-2 pi j Im z} at the last stored term)."""
+    """(value, heuristic tail bound |a_j| e^{-2 pi j Im z} at the last nonzero
+    stored term); raises TruncationError when it exceeds the tolerance."""
     if z.imag <= 0:
         raise DomainError("evaluation requires Im z > 0")
+    cfg = config if config is not None else NumericsConfig()
     q = cmath.exp(2j * cmath.pi * z)
     acc = 0j
     for c in reversed(f.coeffs):
         acc = acc * q + complex(c)
-    return acc, _tail_bound(f, z.imag)
-
-
-def evaluate_at(f: ModularForm, z: complex, config: NumericsConfig | None = None) -> complex:
-    cfg = config if config is not None else NumericsConfig()
-    value, tail = evaluate_at_with_tail(f, z, cfg)
+    tail = _tail_bound(f, z.imag)
     if tail > cfg.tol:
         raise TruncationError(
             f"tail bound {tail:.3e} at Im z = {z.imag:.4g} exceeds tolerance "
             f"{cfg.tol:.1e}; raise the order or reflect toward i*infinity"
         )
-    return value
+    return acc, tail
+
+
+def evaluate_at(f: ModularForm, z: complex, config: NumericsConfig | None = None) -> complex:
+    return evaluate_at_with_tail(f, z, config)[0]
 
 
 def horner_many(coeffs: np.ndarray, ws: np.ndarray) -> np.ndarray:

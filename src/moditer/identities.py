@@ -31,14 +31,12 @@ from .errors import DomainError
 __all__ = [
     "SPlus",
     "Coeff",
-    "Composition",
     "JTuple",
     "LTarget",
     "ITarget",
     "Term",
     "TermList",
     "enumerate_indices",
-    "coeff_A_B",
     "thI_expand",
     "thS_expand",
     "binom_transform_fwd",
@@ -72,27 +70,6 @@ def exp_at(e, s0: complex) -> complex:
 
 class JTuple(tuple):
     """Index tuple (j_2, ..., j_m) from one of the two transform families."""
-
-
-@dataclass(frozen=True)
-class Composition:
-    """Shape of a word: gaps[r] constant slots precede the (r+1)-th form;
-    the final entry counts trailing constants."""
-
-    gaps: tuple
-
-    @property
-    def n_slots(self) -> int:
-        return sum(self.gaps) + len(self.gaps) - 1
-
-    @property
-    def form_positions(self) -> tuple:
-        pos, out = 0, []
-        for g in self.gaps[:-1]:
-            pos += g
-            out.append(pos)
-            pos += 1
-        return tuple(out)
 
 
 # --- exact coefficients ------------------------------------------------------
@@ -319,24 +296,28 @@ def enumerate_indices(n: int, l: int, alphas=None):
     return out
 
 
-def coeff_A_B(composition: Composition, a0_values, s_vec):
-    """Constant-term product A over the constant slots, and the trailing-fold
-    factor B.  A word with m trailing constants folds them away at the cost
-    of B = prod over k = 1..m of 1/(s_n + ... + s_{n-k+1})."""
-    n = composition.n_slots
-    if len(a0_values) != n or len(s_vec) != n:
-        raise DomainError("a0_values and s_vec must match the composition size")
-    forms_at = set(composition.form_positions)
-    A = 1
-    for i in range(n):
-        if i not in forms_at:
-            A = A * a0_values[i]
-    B = 1
-    acc = 0
-    for k in range(composition.gaps[-1]):
-        acc = acc + s_vec[n - 1 - k]
-        B = B / acc
-    return A, B
+def _cusp_subsets(exps, a0s):
+    """The constant-term decomposition of a word with exponents exps: each
+    slot splits as f = f0 + a0, and every nonempty subset D of slots that keep
+    f0 yields (D, a0_idx, B, folded) unless its constant-term product
+    prod a0[a0_idx] vanishes.  The constants after D's last slot fold away at
+    the cost of B = 1/(e_n (e_n + e_{n-1}) ...); folded is the word up to
+    that slot with their exponents merged into it."""
+    n = len(exps)
+    for r in range(1, n + 1):
+        for D in combinations(range(n), r):
+            a0_idx = tuple(i for i in range(n) if i not in D)
+            if any(a0s[i] == 0 for i in a0_idx):
+                continue
+            last = D[-1]
+            B = Fraction(1)
+            acc = 0
+            for e in exps[: last : -1]:
+                acc += e
+                B /= acc
+            folded = list(exps[: last + 1])
+            folded[last] = folded[last] + sum(exps[last + 1 :])
+            yield D, a0_idx, B, folded
 
 
 def _word_exponents(n: int, alphas) -> list:
@@ -362,57 +343,44 @@ def thI_expand(forms, alphas) -> TermList:
     exps = _word_exponents(n, alphas)
     a0s = [f.a0 for f in forms]
     terms = []
-    for r in range(1, n + 1):
-        for D in combinations(range(n), r):
-            if any(a0s[i] == 0 for i in range(n) if i not in D):
-                continue
-            a0_idx = tuple(i for i in range(n) if i not in D)
-            last = D[-1]
-            B = Fraction(1)
-            acc = 0
-            for t in range(n - 1 - last):
-                acc += exps[n - 1 - t]
-                B /= acc
-            # folded word: slots 0..last, trailing exponents merged into last
-            u = list(exps[: last + 1])
-            tail = sum(exps[last + 1 :]) if last + 1 < n else 0
-            u[last] = u[last] + tail
-            L = last + 1
-            if L == 1:
-                off = u[0].off
-                terms.append(
-                    Term(
-                        Coeff(rat=-B, gamma_num=(off,), a0_idx=a0_idx),
-                        LTarget((D[0],), (SPlus(off),)),
-                    )
+    for D, a0_idx, B, u in _cusp_subsets(exps, a0s):
+        # u: the folded word, slots 0..D[-1]
+        L = len(u)
+        if L == 1:
+            off = u[0].off
+            terms.append(
+                Term(
+                    Coeff(rat=-B, gamma_num=(off,), a0_idx=a0_idx),
+                    LTarget((D[0],), (SPlus(off),)),
                 )
-                continue
-            sign = Fraction(-1) ** L
-            for J in enumerate_indices(0, 0, alphas=u[1:]):
-                j = (None, None) + tuple(J)  # j[k] for k = 2..L
-                binom = 1
-                rat = sign * B
-                v = [None, None]  # v[k] for k = 2..L
-                for k in range(2, L + 1):
-                    j_next = j[k + 1] if k + 1 <= L else 0
-                    binom *= math.comb(u[k - 1] + j_next - 1, j[k])
-                    vk = u[k - 1] - j[k] + j_next
-                    v.append(vk)
-                    rat *= math.factorial(vk - 1)  # Gamma(v_k), exact
-                rat *= binom
-                # argument vector: v-sums between consecutive kept slots
-                pos = [p + 1 for p in D]  # 1-based positions in folded word
-                args = []
-                first = SPlus(j[2] + sum(v[k] for k in range(2, pos[0] + 1)))
-                args.append(first)
-                for a, b in zip(pos, pos[1:]):
-                    args.append(sum(v[k] for k in range(a + 1, b + 1)))
-                terms.append(
-                    Term(
-                        Coeff(rat=rat, gamma_num=(j[2],), a0_idx=a0_idx),
-                        LTarget(D, tuple(args)),
-                    )
+            )
+            continue
+        sign = Fraction(-1) ** L
+        for J in enumerate_indices(0, 0, alphas=u[1:]):
+            j = (None, None) + tuple(J)  # j[k] for k = 2..L
+            binom = 1
+            rat = sign * B
+            v = [None, None]  # v[k] for k = 2..L
+            for k in range(2, L + 1):
+                j_next = j[k + 1] if k + 1 <= L else 0
+                binom *= math.comb(u[k - 1] + j_next - 1, j[k])
+                vk = u[k - 1] - j[k] + j_next
+                v.append(vk)
+                rat *= math.factorial(vk - 1)  # Gamma(v_k), exact
+            rat *= binom
+            # argument vector: v-sums between consecutive kept slots
+            pos = [p + 1 for p in D]  # 1-based positions in folded word
+            args = []
+            first = SPlus(j[2] + sum(v[k] for k in range(2, pos[0] + 1)))
+            args.append(first)
+            for a, b in zip(pos, pos[1:]):
+                args.append(sum(v[k] for k in range(a + 1, b + 1)))
+            terms.append(
+                Term(
+                    Coeff(rat=rat, gamma_num=(j[2],), a0_idx=a0_idx),
+                    LTarget(D, tuple(args)),
                 )
+            )
     return TermList(tuple(terms))
 
 
@@ -476,26 +444,10 @@ def thS_expand(forms, alphas) -> TermList:
                 rat *= Fraction(-1) ** j[k] * math.comb(al[k] - 1, j[k])
                 w[k - 1] = al[k] - j[k] + j_next
         # cusp parts f0 = f - a0: keep a subset T of full forms
-        for r in range(1, n + 1):
-            for T in combinations(range(n), r):
-                if any(a0s[i] == 0 for i in range(n) if i not in T):
-                    continue
-                sgn = Fraction(-1) ** (n - r)
-                a0_idx = tuple(i for i in range(n) if i not in T)
-                lastf = T[-1]
-                B = Fraction(1)
-                acc = 0
-                for t in range(n - 1 - lastf):
-                    acc += w[n - 1 - t]
-                    B /= acc
-                word = []
-                for i in range(lastf + 1):
-                    e = w[i]
-                    if i == lastf:
-                        e = e + (sum(w[lastf + 1 :]) if lastf + 1 < n else 0)
-                    word.append((i if i in T else None, e))
-                base = Coeff(rat=rat * sgn * B, a0_idx=a0_idx)
-                _by_parts(word, base, raw)
+        for T, a0_idx, B, folded in _cusp_subsets(w, a0s):
+            sgn = Fraction(-1) ** len(a0_idx)
+            word = [(i if i in T else None, e) for i, e in enumerate(folded)]
+            _by_parts(word, Coeff(rat=rat * sgn * B, a0_idx=a0_idx), raw)
 
     # divide by Gamma^{(s, a.)} = (-1)^n Gamma(s) prod Gamma(a_k)
     scale = Fraction(-1) ** n

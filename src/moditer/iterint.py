@@ -114,6 +114,23 @@ def _sum_label(names) -> str:
     return " + ".join(names) if len(names) > 1 else names[0]
 
 
+def _trailing_fold(s, names, m, divisors) -> complex:
+    """1 / (s_p (s_p + s_{p-1}) ... (s_p + .. + s_{p-m+1})): the factor that
+    folds m trailing constant slots away.  Records each partial sum's label in
+    divisors and raises PoleError on the first that vanishes."""
+    p = len(s)
+    acc = 0j
+    fold = 1.0 + 0j
+    for idx in range(p - 1, p - 1 - m, -1):
+        acc += s[idx]
+        label = _sum_label(names[idx:p])
+        divisors.append(label)
+        if abs(acc) < POLE_EPS:
+            raise PoleError(f"pole divisor hit: {label} = 0")
+        fold /= acc
+    return fold
+
+
 def ones_closed_form(b: complex, s_vec) -> complex:
     """I_{i-inf}^b(1..1; s_1..s_n) = b^(s_1+..+s_n) / (s_n (s_n+s_{n-1}) ...),
     meromorphically continued; poles exactly at vanishing trailing sums."""
@@ -122,17 +139,8 @@ def ones_closed_form(b: complex, s_vec) -> complex:
     s = [complex(v) for v in s_vec]
     if not s:
         raise DomainError("empty exponent list")
-    n = len(s)
-    names = [f"s_{i + 1}" for i in range(n)]
-    acc = 0j
-    denom = 1.0 + 0j
-    for j in range(n):
-        idx = n - 1 - j
-        acc += s[idx]
-        if abs(acc) < POLE_EPS:
-            raise PoleError(f"pole divisor hit: {_sum_label(names[idx:])} = 0")
-        denom *= acc
-    return cmath.exp(acc * cmath.log(b)) / denom
+    names = [f"s_{i + 1}" for i in range(len(s))]
+    return cmath.exp(sum(reversed(s)) * cmath.log(b)) * _trailing_fold(s, names, len(s), [])
 
 
 def _quadrature_value(word, a, b, config):
@@ -167,66 +175,43 @@ def nested_quadrature(spec: IterSpec, a, b: complex, config: NumericsConfig | No
 
 
 def _eval_piece(kernels, names, b, config, divisors):
-    """I_{i-inf}^b for one word via the constant-term decomposition: each
-    slot splits as f = f0 + a0; subsets of cusp-part slots give folded words
-    (quadrature) and the all-constant term gives the closed form.
+    """I_{i-inf}^b for one word via the constant-term decomposition.
+
+    Each slot splits as f = f0 + a0.  Expanding the word by multilinearity
+    gives one term per subset D of cusp-part slots, plus the all-constant
+    term, which is the closed form.  Group the subsets by their innermost
+    slot `last`: slots after it hold constants, which fold into the factor
+    prod_{i>last} a0(i) / (s_p (s_p + s_{p-1}) ...) and merge their
+    exponents into s_last; slots before it range over both f0 and a0, and by
+    multilinearity that sum is the one word with the full forms f there.
+    This word converges toward i-infinity although its outer forms do not
+    decay, because its innermost layer f0_last decays exponentially.  So the
+    piece costs one quadrature per cusp slot with a nonzero trailing product.
 
     Returns (value, error estimate).  Pole guards fire only on terms whose
-    constant-term product A is nonzero.
+    constant-term product is nonzero; a piece holding an identically zero
+    form is 0 and consults no divisor.
     """
+    if any(ks.form is not None and not any(ks.form.coeffs) for ks in kernels):
+        return 0j, 0.0
     p = len(kernels)
     s = [complex(ks.s) for ks in kernels]
-    form_slots = [i for i in range(p) if ks_has_cusp(kernels[i])]
+    a0 = [_a0(ks) for ks in kernels]
     total = 0j
     err = 0.0
-
-    # all-constant term (closed form, with this piece's own divisor names)
-    A = 1
-    for i in range(p):
-        A = A * _a0(kernels[i])
+    A = math.prod(a0)
     if A != 0:
-        acc = 0j
-        denom = 1.0 + 0j
-        for j in range(p):
-            idx = p - 1 - j
-            acc += s[idx]
-            label = _sum_label(names[idx:p])
-            divisors.append(label)
-            if abs(acc) < POLE_EPS:
-                raise PoleError(f"pole divisor hit: {label} = 0")
-            denom *= acc
-        total += complex(A) * cmath.exp(acc * cmath.log(b)) / denom
-
-    for r in range(1, len(form_slots) + 1):
-        for D in combinations(form_slots, r):
-            A = 1
-            for i in range(p):
-                if i not in D:
-                    A = A * _a0(kernels[i])
-            if A == 0:
-                continue
-            last = D[-1]
-            m = p - 1 - last  # trailing constant block length
-            B = 1.0 + 0j
-            if m:
-                acc = 0j
-                for j in range(m):
-                    idx = p - 1 - j
-                    acc += s[idx]
-                    label = _sum_label(names[idx:p])
-                    divisors.append(label)
-                    if abs(acc) < POLE_EPS:
-                        raise PoleError(f"pole divisor hit: {label} = 0")
-                    B /= acc
-            folded = []
-            for i in range(last + 1):
-                integrand = cusp_part(kernels[i].form) if i in D else None
-                si = s[i] if i < last else sum(s[last:])
-                folded.append(KernelSpec(integrand, si))
-            value, qerr = _quadrature_value(folded, IINF, b, config)
-            coeff = complex(A) * B
-            total += coeff * value
-            err += abs(coeff) * qerr
+        closed = cmath.exp(sum(reversed(s)) * cmath.log(b))
+        total += complex(A) * closed * _trailing_fold(s, names, p, divisors)
+    for last in range(p):
+        trailing = math.prod(a0[last + 1 :])
+        if not ks_has_cusp(kernels[last]) or trailing == 0:
+            continue
+        coeff = complex(trailing) * _trailing_fold(s, names, p - 1 - last, divisors)
+        word = list(kernels[:last]) + [KernelSpec(cusp_part(kernels[last].form), sum(s[last:]))]
+        value, qerr = _quadrature_value(word, IINF, b, config)
+        total += coeff * value
+        err += abs(coeff) * qerr
     return total, err
 
 

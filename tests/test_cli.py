@@ -85,6 +85,7 @@ def test_exit_codes(capsys):
         ("iterint", "delta", "--s", "nan"),
         ("iterint", "delta", "--s", "8", "--tol", "nan"),
         ("qexp", "F", "--height", "inf"),
+        ("lvalue", "G", "--s", "1", "--force", "--output", "csv"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, ""), argv
@@ -95,6 +96,15 @@ def test_negative_value_after_option(capsys):
     code, spaced, _ = run_cli(capsys, "eval", "delta", "--z", "-0.1+1j")
     assert code == 0
     assert spaced == run_cli(capsys, "eval", "delta", "--z=-0.1+1j")[1]
+
+
+def test_eval_err_bounds_truncation(capsys):
+    # F has a_n = 0 for even n, so the stored a_200 says nothing of the tail
+    z = "0.3+0.02j"
+    _, lo = run_json(capsys, "eval", "F", "--z", z)
+    _, hi = run_json(capsys, "eval", "F", "--z", z, "--order", "1200")
+    v_lo, v_hi = (complex(*rep["values"][0]["value"]) for rep in (lo, hi))
+    assert lo["values"][0]["err"] >= abs(v_lo - v_hi) > 1e-10
 
 
 def test_failing_check_exits_two(capsys):

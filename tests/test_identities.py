@@ -52,24 +52,6 @@ def test_enumerate_chained_index_tuples():
     assert len(total) == sum(2 + j for j in range(3))
 
 
-def test_composition_shape():
-    comp = idn.Composition((1, 1, 2))
-    assert comp.n_slots == 6
-    assert comp.form_positions == (1, 3)
-    assert idn.Composition((0, 0)).form_positions == (0,)
-
-
-def test_coeff_A_B_products():
-    comp = idn.Composition((1, 1, 2))
-    a0 = (5, 99, 7, 99, 1, 1)  # form slots 1, 3 are never read
-    s_vec = (F1, F1, F1, F1, Fraction(2), Fraction(3))
-    A, B = idn.coeff_A_B(comp, a0, s_vec)
-    assert A == 35
-    assert B == Fraction(1, 15)  # 1 / (s6 (s6 + s5))
-    with pytest.raises(DomainError):
-        idn.coeff_A_B(comp, a0[:-1], s_vec)
-
-
 def test_expand_L_from_I_length_one():
     f = forms.builtin("E4", 8)
     tl = idn.thI_expand([f], ())

@@ -205,6 +205,61 @@ def test_report_divisors(delta2100, e4_200):
     assert set(rep4.divisors) == {"s_1", "s_1 - 4"}
 
 
+def test_multilinear_fold_one_quadrature_per_cusp_slot(monkeypatch, e4_200):
+    # every slot of E4^5 has a nonzero constant term, so each of the 12
+    # pieces of the split runs one quadrature per slot: 5 + 4*(p + 5-p) + 5
+    calls = []
+    adaptive = iterint.quad.adaptive_iterated
+
+    def counting(*args):
+        calls.append(args)
+        return adaptive(*args)
+
+    monkeypatch.setattr(iterint.quad, "adaptive_iterated", counting)
+    s = (1.5, 2.5, 1.7, 2.2, 3.1 + 0.2j)
+    iterint.iterint_report(make_spec([(e4_200, x) for x in s]), CFG)
+    assert len(calls) == 30
+
+
+NON_CUSPIDAL_DEPTH3 = (
+    (("E4", "delta", "E6"), (2.2, 7.1, 3.3)),
+    (("G", "F", "G"), (0.5 + 0.3j, 1.7, 2.1)),
+)
+
+
+def test_report_divisors_non_cuspidal_depth3():
+    got = []
+    for names, s in NON_CUSPIDAL_DEPTH3:
+        word = [(forms.builtin(n, 64), x) for n, x in zip(names, s)]
+        got.append(iterint.iterint_report(make_spec(word), CFG).divisors)
+    assert got == [
+        ("s_3", "s_1 - 4"),
+        ("s_3", "s_1 - 2", "s_2 - 2 + s_1 - 2", "s_3 - 2 + s_2 - 2 + s_1 - 2"),
+    ]
+
+
+@pytest.mark.parametrize("names,s", NON_CUSPIDAL_DEPTH3)
+def test_functional_equation_non_cuspidal_depth3(names, s):
+    # Z(f_1..f_n; s) = e^{i pi sum s} Z(f~_n..f~_1; k_n - s_n, .., k_1 - s_1)
+    word = [(forms.builtin(n, 64), x) for n, x in zip(names, s)]
+    refl = [(forms.fricke_companion(f), f.weight - x) for f, x in reversed(word)]
+    lhs = iterint.completed_Z(make_spec(word), CFG)
+    rhs = cmath.exp(1j * cmath.pi * sum(s)) * iterint.completed_Z(make_spec(refl), CFG)
+    assert abs(lhs - rhs) < 1e-12 * abs(lhs)
+
+
+def test_zero_form_piece_consults_no_divisor(e4_200):
+    zero = forms.ModularForm(1, 4, "zero", (0,) * 201)
+    forms._set_fricke(zero, zero)
+    divisors = []
+    kernels = make_spec([(e4_200, 2.5), (zero, 1.5)]).kernels
+    assert iterint._eval_piece(kernels, ["s_1", "s_2"], 1j, CFG, divisors) == (0, 0.0)
+    assert divisors == []
+    # only the plain piece (E4; s_2) is nonzero and consults a divisor
+    rep = iterint.iterint_report(make_spec([(zero, 1.5), (e4_200, 2.5)]), CFG)
+    assert rep.value == 0 and rep.divisors == ("s_2",)
+
+
 def test_height_guard(delta2100):
     cfg = CFG.replace(height=0.5)
     with pytest.raises(DomainError):

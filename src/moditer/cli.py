@@ -260,7 +260,7 @@ def _run_qexp(ns, cfg, reg) -> RunReport:
 def _run_eval(ns, cfg, reg) -> RunReport:
     f = _resolve(ns.name, reg, max(cfg.order, 200))
     z = _parse_complex(ns.z)
-    val, err = forms.evaluate_at_with_tail(f, z)
+    val, err = forms.evaluate_at_with_tail(f, z, cfg)
     rep = RunReport("eval", {"name": ns.name, "z": ns.z}, _config_dict(cfg))
     rep.values.append(_value_entry(f"{ns.name}({ns.z})", val, err))
     return rep

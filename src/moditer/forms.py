@@ -8,7 +8,6 @@ evaluating q-expansions at small Im z.
 
 from __future__ import annotations
 
-import cmath
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,6 +26,7 @@ __all__ = [
     "evaluate_at",
     "evaluate_at_with_tail",
     "evaluate_many",
+    "evaluate_series",
     "fricke_evaluate",
     "fricke_companion",
     "load_form",
@@ -134,36 +134,73 @@ def evaluate_at_with_tail(f: ModularForm, z: complex, config: NumericsConfig | N
     if z.imag <= 0:
         raise DomainError("evaluation requires Im z > 0")
     cfg = config if config is not None else NumericsConfig()
-    q = cmath.exp(2j * cmath.pi * z)
-    acc = 0j
-    for c in reversed(f.coeffs):
-        acc = acc * q + complex(c)
+    value = complex(evaluate_many(f, [z])[0])
     tail = _tail_bound(f, z.imag)
     if tail > cfg.tol:
         raise TruncationError(
             f"tail bound {tail:.3e} at Im z = {z.imag:.4g} exceeds tolerance "
             f"{cfg.tol:.1e}; raise the order or reflect toward i*infinity"
         )
-    return acc, tail
+    return value, tail
 
 
 def evaluate_at(f: ModularForm, z: complex, config: NumericsConfig | None = None) -> complex:
     return evaluate_at_with_tail(f, z, config)[0]
 
 
+# Horner stops where the terms fall below e^-46 (about 1e-20, under a tenth
+# of a unit roundoff) of the batch's largest: see horner_many.
+_CUT_LOG = 46.0
+
+
+def _significant_cut(coeffs: np.ndarray, log_r: float) -> int:
+    """Last index J with log|a_J| + J log r >= max_j(log|a_j| + j log r) - 46.
+
+    An all-zero array keeps every index (top = -inf), which is harmless."""
+    with np.errstate(divide="ignore"):  # a zero coefficient gets -inf
+        logs = np.log(np.abs(coeffs)) + log_r * np.arange(len(coeffs))
+    top = logs.max()
+    if np.isnan(top):  # a NaN point or coefficient: leave it to Horner
+        return len(coeffs) - 1
+    return int(np.flatnonzero(logs >= top - _CUT_LOG)[-1])
+
+
 def horner_many(coeffs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """sum_n coeffs[n] * ws**n at every point of ws (coeffs in ascending powers)."""
+    """sum_n coeffs[n] * ws**n at every point of ws (coeffs in ascending powers).
+
+    The one Horner loop of the package.  Its callers hand it coeffs[:J+1]
+    with J = _significant_cut at r = max|w| over the batch, so the cost
+    follows the height of the points rather than the stored order M.  Why
+    the cut changes no value beyond rounding: let i* be the index of the
+    largest term at r, so J >= i*.  For any j > J and any batch point w
+    (|w| <= r, j > i*),
+        |a_j w^j| / |a_i* w^i*| <= |a_j r^j| / |a_i* r^i*| < e^-46,
+    so the dropped terms sum to less than M e^-46 (about M 1e-20) times the
+    point's own largest term.  Horner's rounding error on the full sum can
+    reach about 2 M eps sum_j |a_j w^j|, eps = 1.1e-16, far above that.
+    """
     acc = np.zeros(len(ws), dtype=complex)
     for c in coeffs[::-1]:
         acc = acc * ws + c
     return acc
 
 
+def evaluate_series(coeffs, zs) -> np.ndarray:
+    """sum_n coeffs[n] q^n at q = e^{2 pi i z} for every z, Horner stopped at
+    the batch's last significant term."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    zs = np.asarray(zs, dtype=complex)
+    # log r = log max|q|, finite even where q underflows to 0
+    log_r = -2 * np.pi * zs.imag.min() if zs.size else 0.0
+    return horner_many(coeffs[: _significant_cut(coeffs, log_r) + 1],
+                       np.exp(2j * np.pi * zs))
+
+
 def evaluate_many(f: ModularForm, zs: np.ndarray) -> np.ndarray:
-    """Vectorized q-expansion evaluation (no tail policing; quadrature paths
-    are kept inside the trusted region by construction)."""
-    q = np.exp(2j * np.pi * np.asarray(zs, dtype=complex))
-    return horner_many(f._np_coeffs, q)
+    """Vectorized q-expansion evaluation.  The stored coefficients are
+    trusted: the tail beyond the order is not bounded here (quadrature paths
+    stay at Im z >= 1/sqrt(N); evaluate_at_with_tail reports a tail bound)."""
+    return evaluate_series(f._np_coeffs, zs)
 
 
 def fricke_evaluate(f: ModularForm, z: complex, config: NumericsConfig | None = None) -> complex:

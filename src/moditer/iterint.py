@@ -21,7 +21,7 @@ from numpy import convolve as conv_complex
 from . import quad
 from .config import NumericsConfig
 from .errors import DivergenceError, DomainError, PoleError
-from .forms import ModularForm, cusp_part, evaluate_many, fricke_companion
+from .forms import ModularForm, cusp_part, evaluate_many, evaluate_series, fricke_companion
 
 __all__ = [
     "IINF",
@@ -340,11 +340,7 @@ def tilde_I_fourier(spec: IterSpec, z: complex, config: NumericsConfig | None = 
     for a in alphas:
         gamma_factor *= math.factorial(a - 1)
     total_alpha = sum(alphas)
-    q = cmath.exp(2j * cmath.pi * z)
-    series = 0j
-    for t in range(m_cut, 0, -1):
-        series = series * q + acc[t]
-    series *= q
+    series = complex(evaluate_series(acc, [z])[0])  # sum_{t>=1} acc[t] q^t; acc[0] = 0
     return gamma_factor * (-2j * cmath.pi) ** (-total_alpha) * series
 
 

@@ -182,10 +182,9 @@ class QSeries:
         """Numeric value at a point of the upper half-plane (q = e^{2 pi i z})."""
         if z.imag <= 0:
             raise DomainError("evaluation requires Im z > 0")
-        q = cmath.exp(2j * cmath.pi * z)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * q + complex(c)
+        from .forms import evaluate_series  # forms builds on this module
+
+        acc = complex(evaluate_series([complex(c) for c in self.coeffs], [z])[0])
         if self.prefactor_num:
             acc *= cmath.exp(2j * cmath.pi * z * self.prefactor_num / 24)
         return acc

@@ -90,6 +90,10 @@ def test_exit_codes(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: "), argv
+    # the run's --tol reaches the truncation check (err 2.76e-9 here)
+    code, out, err = run_cli(capsys, "eval", "F", "--z", "0.3+0.02j", "--tol", "1e-10")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: tail bound ") and "exceeds tolerance 1.0e-10" in err
 
 
 def test_negative_value_after_option(capsys):

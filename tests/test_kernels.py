@@ -1,14 +1,22 @@
 """The two numerical kernels: batched Horner evaluation of q-expansions
-(forms.horner_many) and the coefficient convolution of the Dirichlet
-cascades (np.convolve, imported as conv_complex by lfun and iterint).
+(forms.horner_many, stopped at the batch's last significant term) and the
+coefficient convolution of the Dirichlet cascades (np.convolve, imported as
+conv_complex by lfun and iterint).
 """
 
 import gc
+import importlib.util
+import math
+import pathlib
+import warnings
 import weakref
 
 import numpy as np
+import pytest
 
-from moditer import forms, iterint, lfun, qseries
+from moditer import forms, iterint, lfun, qseries, quad
+
+EPS = np.finfo(float).eps
 
 
 def _random_batch(rng, n, m, scale=1.0):
@@ -67,3 +75,63 @@ def test_cusp_part_form_freed_after_evaluate_many():
     del f0
     gc.collect()
     assert ref() is None
+
+
+def _path_nodes(level):
+    # the nodes of one quadrature sweep down the vertical path to i/sqrt(N)
+    panels = quad.vertical_panels(1j / math.sqrt(level), 12.0, 64, tail=True)
+    x, _ = quad.gauss_legendre(16)
+    a = np.array([p[0] for p in panels])
+    b = np.array([p[1] for p in panels])
+    return ((a + b)[:, None] / 2 + (b - a)[:, None] / 2 * x[None, :]).ravel()
+
+
+def _forms_and_companions(order):
+    for name in ("delta", "E4", "E6", "F", "G"):
+        f = forms.builtin(name, order)
+        yield f
+        if f.fricke is not f:
+            yield f.fricke
+
+
+@pytest.mark.parametrize("order", [64, 2000])
+def test_height_cut_changes_no_value_beyond_rounding(order):
+    for f in _forms_and_companions(order):
+        zs = _path_nodes(f.level)
+        q = np.exp(2j * np.pi * zs)
+        full = forms.horner_many(f._np_coeffs, q)
+        scale = forms.horner_many(np.abs(f._np_coeffs), np.abs(q)).real
+        got = forms.evaluate_many(f, zs)
+        assert np.all(np.abs(got - full) <= 8 * EPS * scale), f.label
+
+
+def test_height_cut_hands_over_few_terms(monkeypatch):
+    seen = []
+    horner = forms.horner_many
+    monkeypatch.setattr(forms, "horner_many", lambda c, ws: seen.append(len(c)) or horner(c, ws))
+    forms.evaluate_many(forms.builtin("delta", 2000), _path_nodes(1))
+    assert seen and max(seen) <= 40
+
+
+def test_height_cut_edge_cases():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # q underflows to 0 at Im z = 200: the value is a_0, with no log(0) warning
+        assert forms.evaluate_many(forms.builtin("E4", 64), [200j])[0] == 1
+        assert forms.evaluate_many(forms.builtin("delta", 64), [200j])[0] == 0
+        assert forms.evaluate_series(np.zeros(50), [0.1 + 0.5j])[0] == 0
+        # |q| > 1: the largest terms are the last ones, nothing is cut
+        coeffs = np.ones(30, dtype=complex)
+        zs = np.array([-0.03j, 0.2 - 0.01j])
+        assert np.array_equal(forms.evaluate_series(coeffs, zs),
+                              forms.horner_many(coeffs, np.exp(2j * np.pi * zs)))
+
+
+def test_traced_names_all_present():
+    # modbench/spans.py wraps names by their current spelling; a renamed one
+    # would silently read 0 in the benchmark's per-layer figures
+    path = pathlib.Path(__file__).resolve().parents[1] / "modbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("modbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.Tracer(2000).absent == []

@@ -310,9 +310,8 @@ def _run_mzv(ns, cfg, reg) -> RunReport:
         val = mzv.mzv_p1_integral(idx, cfg)
         err = abs(val - mzv.p1_word_integral(mzv._word_flags(idx), cfg, eps=4e-10))
     else:
-        val = mzv.mzv_modular_integral(idx, cfg)
-        raw = mzv.modular_raw_integral(idx, cfg)
-        err = abs(((2j * math.pi) ** idx.weight * 16**idx.depth * raw).imag) + cfg.tol * abs(val)
+        val, err = mzv._zeta_from_report(idx, mzv.modular_raw_integral(idx, cfg))
+        err += cfg.tol * abs(val)
     rep = RunReport(
         "mzv", {"index": ns.index, "method": ns.method}, _config_dict(cfg)
     )

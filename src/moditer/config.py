@@ -80,5 +80,3 @@ class NumericsConfig:
         current.update(kwargs)
         return NumericsConfig(**current)
 
-
-DEFAULT = NumericsConfig()

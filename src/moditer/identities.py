@@ -31,7 +31,6 @@ from .errors import DomainError
 __all__ = [
     "SPlus",
     "Coeff",
-    "JTuple",
     "LTarget",
     "ITarget",
     "Term",
@@ -66,10 +65,6 @@ class SPlus:
 
 def exp_at(e, s0: complex) -> complex:
     return e.at(s0) if isinstance(e, SPlus) else complex(e)
-
-
-class JTuple(tuple):
-    """Index tuple (j_2, ..., j_m) from one of the two transform families."""
 
 
 # --- exact coefficients ------------------------------------------------------
@@ -256,35 +251,19 @@ class TermList:
 
 # --- shared enumeration helpers ----------------------------------------------
 
-def enumerate_indices(n: int, l: int, alphas=None):
-    """Without alphas: all ways to distribute the n - l constant slots of a
-    word around its l forms, as (l+1)-tuples of gap sizes.  With alphas
-    (u_2..u_m): all index tuples (j_2..j_m) with the chained bounds
-    0 <= j_k < u_k + j_{k+1}, rightmost first."""
-    if alphas is None:
-        if not 0 <= l <= n:
-            raise DomainError("need 0 <= l <= n")
-        out = []
-
-        def gaps(rem, parts, acc):
-            if parts == 1:
-                out.append(tuple(acc) + (rem,))
-                return
-            for g in range(rem + 1):
-                gaps(rem - g, parts - 1, acc + [g])
-
-        gaps(n - l, l + 1, [])
-        return out
-
+def enumerate_indices(alphas):
+    """All index tuples (j_2..j_m) with the chained bounds
+    0 <= j_k < u_k + j_{k+1} for alphas = (u_2..u_m), sorted by the
+    rightmost index first."""
     alphas = tuple(int(a) for a in alphas)
     if not alphas:
-        return [JTuple()]
+        return [()]
     out = []
 
     def rec(pos, j_next, acc):
         # pos walks the alphas right to left; acc collects reversed
         if pos < 0:
-            out.append(JTuple(reversed(acc)))
+            out.append(tuple(reversed(acc)))
             return
         for j in range(alphas[pos] + j_next):
             rec(pos - 1, j, acc + [j])
@@ -294,6 +273,29 @@ def enumerate_indices(n: int, l: int, alphas=None):
     for j in range(alphas[last]):
         rec(last - 1, j, [j])
     return out
+
+
+def _shifted(alphas, J):
+    # the new exponents a_k - j_k + j_{k+1} that both families produce
+    return tuple(a - j + j_next for a, j, j_next in zip(alphas, J, J[1:] + (0,)))
+
+
+def _chained_family(alphas):
+    """Forward family: (J, prod C(a_k + j_{k+1} - 1, j_k), new exponents)
+    over the chained bounds of enumerate_indices."""
+    for J in enumerate_indices(alphas):
+        weight = math.prod(
+            math.comb(a + j_next - 1, j) for a, j, j_next in zip(alphas, J, J[1:] + (0,))
+        )
+        yield J, weight, _shifted(alphas, J)
+
+
+def _alternating_family(alphas):
+    """Inverse family: (J, prod (-1)^{j_k} C(a_k - 1, j_k), new exponents)
+    over the independent bounds 0 <= j_k < a_k."""
+    for J in product(*[range(a) for a in alphas]):
+        weight = math.prod((-1) ** j * math.comb(a - 1, j) for a, j in zip(alphas, J))
+        yield J, weight, _shifted(alphas, J)
 
 
 def _cusp_subsets(exps, a0s):
@@ -356,28 +358,19 @@ def thI_expand(forms, alphas) -> TermList:
             )
             continue
         sign = Fraction(-1) ** L
-        for J in enumerate_indices(0, 0, alphas=u[1:]):
-            j = (None, None) + tuple(J)  # j[k] for k = 2..L
-            binom = 1
-            rat = sign * B
-            v = [None, None]  # v[k] for k = 2..L
-            for k in range(2, L + 1):
-                j_next = j[k + 1] if k + 1 <= L else 0
-                binom *= math.comb(u[k - 1] + j_next - 1, j[k])
-                vk = u[k - 1] - j[k] + j_next
-                v.append(vk)
-                rat *= math.factorial(vk - 1)  # Gamma(v_k), exact
-            rat *= binom
+        for J, binom, new in _chained_family(u[1:]):
+            v = (None, None) + new  # v[k] for k = 2..L
+            rat = sign * B * binom * math.prod(math.factorial(vk - 1) for vk in new)  # Gamma(v_k)
             # argument vector: v-sums between consecutive kept slots
             pos = [p + 1 for p in D]  # 1-based positions in folded word
             args = []
-            first = SPlus(j[2] + sum(v[k] for k in range(2, pos[0] + 1)))
+            first = SPlus(J[0] + sum(v[k] for k in range(2, pos[0] + 1)))
             args.append(first)
             for a, b in zip(pos, pos[1:]):
                 args.append(sum(v[k] for k in range(a + 1, b + 1)))
             terms.append(
                 Term(
-                    Coeff(rat=rat, gamma_num=(j[2],), a0_idx=a0_idx),
+                    Coeff(rat=rat, gamma_num=(J[0],), a0_idx=a0_idx),
                     LTarget(D, tuple(args)),
                 )
             )
@@ -428,21 +421,10 @@ def thS_expand(forms, alphas) -> TermList:
     n = len(forms)
     exps = _word_exponents(n, alphas)
     a0s = [f.a0 for f in forms]
-    al = [None, None] + [int(a) for a in alphas]  # al[k] for k = 2..n
+    al = tuple(int(a) for a in alphas)  # a_2..a_n
     raw = []
-
-    jspace = [range(a) for a in al[2:]] if n > 1 else [()]
-    jtuples = list(product(*jspace)) if n > 1 else [()]
-    for J in jtuples:
-        j = (None, None) + tuple(J)
-        rat = Fraction(1)
-        w = [SPlus(0) for _ in range(1)] + [0] * (n - 1)
-        if n > 1:
-            w[0] = SPlus(j[2])
-            for k in range(2, n + 1):
-                j_next = j[k + 1] if k + 1 <= n else 0
-                rat *= Fraction(-1) ** j[k] * math.comb(al[k] - 1, j[k])
-                w[k - 1] = al[k] - j[k] + j_next
+    for J, rat, new in _alternating_family(al):
+        w = [SPlus(J[0] if J else 0), *new]
         # cusp parts f0 = f - a0: keep a subset T of full forms
         for T, a0_idx, B, folded in _cusp_subsets(w, a0s):
             sgn = Fraction(-1) ** len(a0_idx)
@@ -450,9 +432,7 @@ def thS_expand(forms, alphas) -> TermList:
             _by_parts(word, Coeff(rat=rat * sgn * B, a0_idx=a0_idx), raw)
 
     # divide by Gamma^{(s, a.)} = (-1)^n Gamma(s) prod Gamma(a_k)
-    scale = Fraction(-1) ** n
-    for k in range(2, n + 1):
-        scale *= math.factorial(al[k] - 1)
+    scale = Fraction(-1) ** n * math.prod(math.factorial(a - 1) for a in al)
     terms = []
     for coeff, word in raw:
         c = Coeff(
@@ -471,43 +451,22 @@ def thS_expand(forms, alphas) -> TermList:
 
 # --- binomial transform pair ---------------------------------------------------
 
+def _binom_transform(data: dict, family) -> dict:
+    out = {}
+    for (zpow, alphas), c in data.items():
+        for J, w, new in family(alphas):
+            key = (zpow + (J[0] if J else 0), new)
+            out[key] = out.get(key, Fraction(0)) + c * w
+    return {k: v for k, v in out.items() if v}
+
+
 def binom_transform_fwd(data: dict) -> dict:
     """Forward family: coefficients prod C(a_k + j_{k+1} - 1, j_k) z^{j_2},
     chained bounds.  data maps (zpow, alphas) -> Fraction."""
-    out = {}
-    for (zpow, alphas), c in data.items():
-        if not alphas:
-            out[(zpow, alphas)] = out.get((zpow, alphas), Fraction(0)) + c
-            continue
-        m = len(alphas)
-        for J in enumerate_indices(0, 0, alphas=alphas):
-            w = Fraction(1)
-            new = []
-            for k in range(m):
-                j_next = J[k + 1] if k + 1 < m else 0
-                w *= math.comb(alphas[k] + j_next - 1, J[k])
-                new.append(alphas[k] - J[k] + j_next)
-            key = (zpow + J[0], tuple(new))
-            out[key] = out.get(key, Fraction(0)) + c * w
-    return {k: v for k, v in out.items() if v}
+    return _binom_transform(data, _chained_family)
 
 
 def binom_transform_inv(data: dict) -> dict:
     """Inverse family: coefficients prod (-1)^{j_k} C(a_k - 1, j_k) z^{j_2},
     independent bounds 0 <= j_k < a_k."""
-    out = {}
-    for (zpow, alphas), c in data.items():
-        if not alphas:
-            out[(zpow, alphas)] = out.get((zpow, alphas), Fraction(0)) + c
-            continue
-        m = len(alphas)
-        for J in product(*[range(a) for a in alphas]):
-            w = Fraction(1)
-            new = []
-            for k in range(m):
-                j_next = J[k + 1] if k + 1 < m else 0
-                w *= Fraction(-1) ** J[k] * math.comb(alphas[k] - 1, J[k])
-                new.append(alphas[k] - J[k] + j_next)
-            key = (zpow + J[0], tuple(new))
-            out[key] = out.get(key, Fraction(0)) + c * w
-    return {k: v for k, v in out.items() if v}
+    return _binom_transform(data, _alternating_family)

@@ -3,8 +3,10 @@
 The same number is computed as a nested Dirichlet sum, as an iterated
 integral of dt/t and dt/(1-t) over the unit interval, and as a pullback
 iterated integral of weight-2 level-4 forms along the vertical geodesic
-from i-infinity to 0.  Agreement of the three routes is the point, so the
-evaluators share no numerics beyond the generic quadrature layer.
+from i-infinity to 0.  Agreement of the three routes is the point, so they
+share no numerics with each other beyond the generic quadrature layer.  The
+third route is an ordinary word for iterint_report, whose split at i/2 and
+Fricke reflection it shares with the iterint layer.
 """
 
 from __future__ import annotations
@@ -218,51 +220,46 @@ _KERNEL_ORDER = 256
 
 
 def _level4_pair():
+    """F for dt/(1-t) slots and G-16F for dt/t slots, each with its Fricke
+    companion: F|w4 = F - G/16 = -(G-16F)/16 is built in, and
+    (G-16F)|w4 = -G - 16(F - G/16) = -16F is wired here both ways."""
     f = forms.builtin("F", _KERNEL_ORDER)
     g = forms.builtin("G", _KERNEL_ORDER)
     gm = ModularForm(4, 2, "G-16F", tuple(a - 16 * b for a, b in zip(g.coeffs, f.coeffs)))
+    gm_w = ModularForm(4, 2, "G-16F|w4", tuple(-16 * b for b in f.coeffs))
+    forms._set_fricke(gm, gm_w)
+    forms._set_fricke(gm_w, gm)
     return f, gm
 
 
-def _block_integral(flags_block, pair, cfg) -> complex:
-    """Plain iterated integral of the block from i-infinity down to i/2,
-    first flag integrated nearest i-infinity."""
-    if not flags_block:
-        return 1.0 + 0j
-    f4, gm = pair
-    entries = [(f4 if f == 1 else gm, 1.0) for f in reversed(flags_block)]
-    return iterint.nested_quadrature(iterint.make_spec(entries), iterint.IINF, 0.5j, cfg)
-
-
-def modular_raw_integral(idx: MzvIndex, config: NumericsConfig | None = None) -> complex:
+def modular_raw_integral(idx: MzvIndex, config: NumericsConfig | None = None) -> iterint.IterReport:
     """The pullback integral along the vertical geodesic before the
-    (2 pi i)^w 16^d normalization.
+    (2 pi i)^w 16^d normalization, as an iterint report.
 
-    The word uses F for dt/(1-t) slots and G-16F for dt/t slots.  The path
-    splits at the reflection fixed point i/2; the lower half maps back to
-    the upper half under z -> -1/(4z), which swaps the two kernels up to the
-    factor 16 tracked per block (reversal and kernel signs cancel)."""
-    cfg = config if config is not None else NumericsConfig()
-    flags = _word_flags(idx)
-    pair = _level4_pair()
-    total = 0j
-    for j in range(len(flags) + 1):
-        upper = _block_integral(flags[:j], pair, cfg)
-        block = flags[j:]
-        swapped = [1 - f for f in reversed(block)]
-        scale = 16.0 ** (len(block) - 2 * sum(block))  # 16^(#zeros - #ones)
-        total += upper * scale * _block_integral(swapped, pair, cfg)
-    return total
+    The word uses F for dt/(1-t) slots and G-16F for dt/t slots, all with
+    exponent 1.  iterint_report splits the path at i/2 and reflects the
+    lower half through z -> -1/(4z): the companions swap the two kernels up
+    to the factors -1/16 and -16, and the prefactor
+    e^{i pi m} 4^{-m + m} = (-1)^m cancels the signs."""
+    f4, gm = _level4_pair()
+    entries = [(f4 if flag else gm, 1.0) for flag in reversed(_word_flags(idx))]
+    return iterint.iterint_report(iterint.make_spec(entries), config)
 
 
-def mzv_modular_integral(idx: MzvIndex, config: NumericsConfig | None = None) -> float:
-    raw = modular_raw_integral(idx, config)
-    value = (2j * math.pi) ** idx.weight * 16**idx.depth * raw
+def _zeta_from_report(idx: MzvIndex, report: iterint.IterReport):
+    """(zeta value, err): the report scaled by (2 pi i)^w 16^d; err adds the
+    imaginary residue, which the true value lacks, to the quadrature error."""
+    pref = (2j * math.pi) ** idx.weight * 16**idx.depth
+    value = pref * report.value
     if abs(value.imag) > 1e-6 * max(1.0, abs(value.real)):
         raise AccuracyError(
             f"pullback integral has imaginary residue {value.imag:.3e}"
         )
-    return value.real
+    return value.real, abs(pref) * report.err_estimate + abs(value.imag)
+
+
+def mzv_modular_integral(idx: MzvIndex, config: NumericsConfig | None = None) -> float:
+    return _zeta_from_report(idx, modular_raw_integral(idx, config))[0]
 
 
 def lambda_modular(z: complex, config: NumericsConfig | None = None) -> complex:

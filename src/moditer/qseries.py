@@ -21,7 +21,6 @@ __all__ = [
     "QSeries",
     "bernoulli",
     "sigma",
-    "series_arith",
     "eisenstein_series",
     "eta_series",
     "builtin_form",
@@ -222,26 +221,6 @@ def _div_coeffs(a, b, m):
                 acc -= b[j] * out[n - j]
         out.append(acc / lead)
     return tuple(out)
-
-
-def series_arith(lhs: QSeries, rhs, op: str) -> QSeries:
-    """Dispatcher used by the CLI: op in {add, sub, mul, div, pow}."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        return lhs / rhs
-    if op == "pow":
-        if isinstance(rhs, QSeries):
-            v = rhs.valuation()
-            if rhs.prefactor_num or v != 0 or any(rhs.coeffs[1:]) or not isinstance(rhs.coeffs[0], int):
-                raise DomainError("pow exponent must be an integer")
-            rhs = rhs.coeffs[0]
-        return lhs ** rhs
-    raise DomainError(f"unknown series operation {op!r}")
 
 
 # -- number-theoretic scalars ---------------------------------------------

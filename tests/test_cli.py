@@ -4,12 +4,13 @@ mathematical content is covered by the library test modules.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from moditer import cli, forms
+from moditer import cli, forms, iterint
 from moditer.errors import DomainError
 
 ZETA3 = 1.2020569031595942854
@@ -131,6 +132,17 @@ def test_env_and_flag_precedence(capsys, monkeypatch):
     assert run_cli(capsys, "qexp", "F")[0] == 1
 
 
+@pytest.mark.parametrize("raw", ["abc", "nan"])
+def test_bad_env_value_fails_at_startup(raw):
+    # the config is read when the CLI runs, not when moditer is imported
+    env = dict(os.environ, MODITER_TOL=raw)
+    got = subprocess.run([sys.executable, "-m", "moditer.cli", "qexp", "delta"],
+                         capture_output=True, text=True, env=env)
+    assert (got.returncode, got.stdout) == (1, "")
+    assert got.stderr.startswith("error:")
+    assert "Traceback" not in got.stderr
+
+
 def test_csv_output(capsys):
     code, out, _ = run_cli(capsys, "mzv", "--index", "3", "--method", "series",
                            "--output", "csv")
@@ -166,6 +178,22 @@ def test_mzv_methods_agree(capsys):
         vals[method] = complex(*rep["values"][0]["value"])
     for v in vals.values():
         assert abs(v - ZETA3) < 1e-6
+
+
+@pytest.mark.parametrize("index,want", [("3", ZETA3), ("2,1", ZETA3)])
+def test_mzv_modular_err_bounds_error(capsys, index, want):
+    code, rep = run_json(capsys, "mzv", "--index", index, "--method", "modular")
+    assert code == 0
+    (v,) = rep["values"]
+    assert v["err"] >= abs(complex(*v["value"]) - want)
+
+
+def test_mzv_modular_runs_the_pullback_once(capsys, monkeypatch):
+    calls = []
+    report = iterint.iterint_report
+    monkeypatch.setattr(iterint, "iterint_report", lambda *a: calls.append(1) or report(*a))
+    assert run_cli(capsys, "mzv", "--index", "2,1", "--method", "modular")[0] == 0
+    assert len(calls) == 1
 
 
 def test_eta_suite_all_pass(capsys):

@@ -35,20 +35,12 @@ def test_splus_arithmetic():
     assert idn.exp_at(3, 0.0) == 3.0
 
 
-def test_enumerate_gap_compositions():
-    assert idn.enumerate_indices(3, 1) == [(0, 2), (1, 1), (2, 0)]
-    assert idn.enumerate_indices(2, 2) == [(0, 0, 0)]
-    assert idn.enumerate_indices(2, 0) == [(2,)]
-    with pytest.raises(DomainError):
-        idn.enumerate_indices(1, 2)
-
-
 def test_enumerate_chained_index_tuples():
-    assert idn.enumerate_indices(0, 0, alphas=(2,)) == [(0,), (1,)]
+    assert idn.enumerate_indices((2,)) == [(0,), (1,)]
     # bound on the left index is alpha + the index to its right
-    assert idn.enumerate_indices(0, 0, alphas=(1, 2)) == [(0, 0), (0, 1), (1, 1)]
-    assert idn.enumerate_indices(0, 0, alphas=()) == [idn.JTuple()]
-    total = idn.enumerate_indices(0, 0, alphas=(2, 3))
+    assert idn.enumerate_indices((1, 2)) == [(0, 0), (0, 1), (1, 1)]
+    assert idn.enumerate_indices(()) == [()]
+    total = idn.enumerate_indices((2, 3))
     assert len(total) == sum(2 + j for j in range(3))
 
 
@@ -177,7 +169,7 @@ def test_gamma_factor_identity_exact():
     for _ in range(40):
         m = rng.randint(1, 3)
         u = tuple(rng.randint(1, 4) for _ in range(m))  # u_2 .. u_{m+1}
-        J = rng.choice(idn.enumerate_indices(0, 0, alphas=u))
+        J = rng.choice(idn.enumerate_indices(u))
         jn = lambda k: J[k + 1] if k + 1 < m else 0
         v = [u[k] - J[k] + jn(k) for k in range(m)]
         s = Fraction(rng.randint(1, 40), rng.randint(1, 11))

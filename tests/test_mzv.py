@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from moditer import forms, iterint, mzv
+from moditer import forms, iterint, mzv, quad
 from moditer.config import NumericsConfig
 from moditer.errors import DivergenceError, DomainError
 
@@ -109,7 +109,7 @@ def test_modular_route(ks, want, tol):
 
 def test_modular_prefactor_restatement():
     idx = mzv.MzvIndex((2, 1))
-    raw = mzv.modular_raw_integral(idx, CFG)
+    raw = mzv.modular_raw_integral(idx, CFG).value
     pref = (2j * math.pi) ** idx.weight * 16**idx.depth
     assert mzv.mzv_modular_integral(idx, CFG) == pytest.approx((pref * raw).real)
     # the raw integral really is zeta over the prefactor
@@ -125,3 +125,39 @@ def test_three_way_agreement():
         assert abs(a - b) < 1e-6
         assert abs(a - c) < 1e-6
         assert abs(b - c) < 1e-6
+
+
+SEVEN = [(2,), (3,), (4,), (2, 1), (3, 1), (2, 2), (2, 1, 1)]
+
+
+@pytest.mark.parametrize("ks", SEVEN)
+def test_modular_route_to_near_machine_precision(ks):
+    idx = mzv.MzvIndex(ks)
+    assert abs(mzv.mzv_modular_integral(idx, CFG) - mzv.mzv_series(idx)) <= 1e-13
+
+
+def test_modular_route_is_one_iterint_report(monkeypatch):
+    # one report per MZV; each of its 2w quadratures takes a coarse and a
+    # fine sweep, as the block loop it replaced did
+    sweeps = []
+    reports = []
+    sweep, report = quad.iterated_integral, iterint.iterint_report
+    monkeypatch.setattr(quad, "iterated_integral", lambda *a: sweeps.append(1) or sweep(*a))
+    monkeypatch.setattr(iterint, "iterint_report", lambda *a: reports.append(1) or report(*a))
+    for ks, want in [((3,), 12), ((2, 1), 12), ((4,), 16), ((3, 1), 16), ((2, 2), 16), ((2, 1, 1), 16)]:
+        sweeps.clear()
+        reports.clear()
+        mzv.mzv_modular_integral(mzv.MzvIndex(ks), CFG)
+        assert (len(reports), len(sweeps)) == (1, want), ks
+
+
+def test_level4_companions_wired_both_ways():
+    f, gm = mzv._level4_pair()
+    assert forms.fricke_companion(forms.fricke_companion(gm)) is gm
+    assert forms.fricke_companion(gm).coeffs == tuple(-16 * c for c in f.coeffs)
+    # F|w4 = -(G-16F)/16
+    assert forms.fricke_companion(f).coeffs == tuple(-c / 16 for c in gm.coeffs)
+    for z in (0.3 + 0.8j, -0.1 + 0.6j):
+        assert forms.fricke_evaluate(gm, z) == pytest.approx(
+            forms.evaluate_at(forms.fricke_companion(gm), z), abs=1e-10
+        )

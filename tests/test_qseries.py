@@ -20,7 +20,6 @@ from moditer.qseries import (
     eisenstein_series,
     eta_series,
     logderiv,
-    series_arith,
     sigma,
 )
 
@@ -185,18 +184,6 @@ def test_add_rebases_prefactors_on_24_lattice():
     c = a + b
     assert c.prefactor_num == 0
     assert c.coeffs == (1, 1, 0)
-
-
-def test_series_arith_dispatch():
-    a = q_jet([1, 1, 0])
-    b = q_jet([1, -1, 0])
-    assert series_arith(a, b, "mul").coeffs == (1, 0, -1)
-    assert series_arith(a, b, "add").coeffs == (2, 0, 0)
-    assert series_arith(a, b, "sub").coeffs == (0, 2, 0)
-    assert series_arith(a, q_jet([1, 0, 0]), "div").coeffs == (1, 1, 0)
-    assert series_arith(a, 2, "pow").coeffs == (1, 2, 1)
-    with pytest.raises(DomainError):
-        series_arith(a, b, "compose")
 
 
 small_coeffs = st.lists(st.integers(-9, 9), min_size=3, max_size=7)

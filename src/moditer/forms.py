@@ -73,7 +73,9 @@ class ModularForm:
 
 
 def _set_fricke(f: ModularForm, g: ModularForm):
+    """Wire f and g as each other's Fricke companion (an involution in even weight)."""
     object.__setattr__(f, "fricke", g)
+    object.__setattr__(g, "fricke", f)
 
 
 def from_qseries(qs: qseries.QSeries, level: int, weight: int, label: str) -> ModularForm:
@@ -91,18 +93,17 @@ def builtin(name: str, order: int) -> ModularForm:
     from theta(-1/(4z)) = sqrt(-2iz) theta(z): G-tilde = -G and
     F-tilde = F - G/16; level-1 forms are self-companion (weight even).
     """
-    if name in ("F", "G", "theta4"):
+    if name in ("G", "theta4"):
+        g = from_qseries(qseries.builtin_form("G", order), 4, 2, "G")
+        _set_fricke(g, ModularForm(4, 2, "G|w4", tuple(-b for b in g.coeffs)))
+        return g
+    if name == "F":
         f = from_qseries(qseries.builtin_form("F", order), 4, 2, "F")
         g = from_qseries(qseries.builtin_form("G", order), 4, 2, "G")
-        ft = ModularForm(4, 2, "F|w4", tuple(
+        _set_fricke(f, ModularForm(4, 2, "F|w4", tuple(
             Fraction(a) - Fraction(b, 16) for a, b in zip(f.coeffs, g.coeffs)
-        ))
-        gt = ModularForm(4, 2, "G|w4", tuple(-b for b in g.coeffs))
-        _set_fricke(f, ft)
-        _set_fricke(ft, f)
-        _set_fricke(g, gt)
-        _set_fricke(gt, g)
-        return g if name in ("G", "theta4") else f
+        )))
+        return f
     if name == "delta" or (name.startswith("E") and name[1:].isdigit()):
         qs = qseries.builtin_form(name, order)
         weight = 12 if name == "delta" else int(name[1:])

@@ -19,14 +19,13 @@ SPlus(offset) = s + offset); every other slot is a positive integer.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-import scipy.special as _sp
-
-from .errors import DomainError
+from .errors import DomainError, PoleError
 
 __all__ = [
     "SPlus",
@@ -73,13 +72,33 @@ def _as_frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028, 771.32342877765313,
+            -176.61502916214059, 12.507343278686905, -0.13857109526572012,
+            9.9843695780195716e-6, 1.5056327351493116e-7)
+
+
+def _rgamma(z: complex) -> complex:
+    """1/Gamma(z), entire, to about 1e-14 relative: Lanczos (g = 7, n = 9), and
+    for Re z < 1/2 reflection with sin(pi z) taken at z minus its nearest
+    integer, so the zeros 0, -1, -2, ... are exact and their neighbours accurate."""
+    if z.real < 0.5:
+        n = round(z.real)
+        return (-1) ** n * cmath.sin(cmath.pi * (z - n)) / (cmath.pi * _rgamma(1 - z))
+    z -= 1
+    t = z + 7.5
+    x = _LANCZOS[0] + sum(c / (z + i) for i, c in enumerate(_LANCZOS[1:], 1))
+    return cmath.exp(t) / (math.sqrt(2 * math.pi) * t ** (z + 0.5) * x)
+
+
 @dataclass(frozen=True)
 class Coeff:
     """rat * prod Gamma(s+g)[gamma_num] / prod Gamma(s+g)[gamma_den]
            * prod (s+c)[lin_num] / prod (s+c)[lin_den] * prod a0[a0_idx].
 
     a0_idx holds 0-based word positions whose constant Fourier term
-    multiplies the coefficient (repeats allowed)."""
+    multiplies the coefficient (repeats allowed).  evaluate takes 1/Gamma from
+    _rgamma: at a pole s0 + g in {0, -1, ...} a denominator Gamma gives 0 and a
+    numerator one raises PoleError."""
 
     rat: Fraction = Fraction(1)
     gamma_num: tuple = ()
@@ -116,9 +135,12 @@ class Coeff:
     def evaluate(self, s0: complex, a0_values=()) -> complex:
         val = complex(self.rat)
         for g in self.gamma_num:
-            val *= complex(_sp.gamma(s0 + g))
+            r = _rgamma(s0 + g)
+            if not r:
+                raise PoleError(f"Gamma pole at s + {g} = 0")
+            val /= r
         for g in self.gamma_den:
-            val /= complex(_sp.gamma(s0 + g))
+            val *= _rgamma(s0 + g)
         for c in self.lin_num:
             val *= s0 + complex(c)
         for c in self.lin_den:

@@ -221,14 +221,11 @@ _KERNEL_ORDER = 256
 
 def _level4_pair():
     """F for dt/(1-t) slots and G-16F for dt/t slots, each with its Fricke
-    companion: F|w4 = F - G/16 = -(G-16F)/16 is built in, and
-    (G-16F)|w4 = -G - 16(F - G/16) = -16F is wired here both ways."""
+    companion: F|w4 = F - G/16 = -(G-16F)/16 is built in, so G-16F is read
+    off it, and (G-16F)|w4 = -G - 16(F - G/16) = -16F is wired here."""
     f = forms.builtin("F", _KERNEL_ORDER)
-    g = forms.builtin("G", _KERNEL_ORDER)
-    gm = ModularForm(4, 2, "G-16F", tuple(a - 16 * b for a, b in zip(g.coeffs, f.coeffs)))
-    gm_w = ModularForm(4, 2, "G-16F|w4", tuple(-16 * b for b in f.coeffs))
-    forms._set_fricke(gm, gm_w)
-    forms._set_fricke(gm_w, gm)
+    gm = ModularForm(4, 2, "G-16F", tuple(-16 * c for c in f.fricke.coeffs))
+    forms._set_fricke(gm, ModularForm(4, 2, "G-16F|w4", tuple(-16 * b for b in f.coeffs)))
     return f, gm
 
 

@@ -59,22 +59,9 @@ class QSeries:
 
     # -- basic accessors -------------------------------------------------
 
-    def coeff(self, n: int):
-        if not 0 <= n <= self.order:
-            raise DomainError(f"coefficient q^{n} not stored (order {self.order})")
-        return self.coeffs[n]
-
     def valuation(self):
         """Index of the lowest nonzero stored coefficient, or None for the zero jet."""
         return _valuation(self.coeffs)
-
-    def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise DomainError(f"cannot extend order {self.order} to {order}")
-        return QSeries(self.coeffs[: order + 1], order, self.prefactor_num)
-
-    def is_zero(self) -> bool:
-        return self.valuation() is None
 
     # -- arithmetic ------------------------------------------------------
 

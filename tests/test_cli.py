@@ -143,6 +143,12 @@ def test_bad_env_value_fails_at_startup(raw):
     assert "Traceback" not in got.stderr
 
 
+def test_import_loads_no_scipy():
+    code = "import sys, moditer.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert got.stdout == "[]\n"
+
+
 def test_csv_output(capsys):
     code, out, _ = run_cli(capsys, "mzv", "--index", "3", "--method", "series",
                            "--output", "csv")

@@ -9,11 +9,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import scipy.special as sp
 
 from moditer import forms, identities as idn
-from moditer.errors import DomainError
+from moditer.errors import DomainError, PoleError
 
 F1 = Fraction(1)
 
@@ -203,22 +204,43 @@ def test_ratfunc_helpers():
     assert idn.ratfunc_equal(idn.RATFUNC_ZERO, ((Fraction(0),), (Fraction(5),)))
 
 
+def test_rgamma_matches_scipy():
+    for x in np.linspace(-4.7, 40.0, 900):
+        for y in (0.0, 0.3, -0.3, -1.2, 2.0, 5.0):
+            z = complex(x, y)
+            if y == 0 and x <= 0 and abs(x - round(x)) < 1e-3:
+                continue
+            want = complex(sp.gamma(z))
+            assert abs(1 / idn._rgamma(z) - want) <= 1e-13 * abs(want), z
+
+
+def test_coeff_gamma_poles():
+    # 1/Gamma is entire: a denominator Gamma at a pole zeroes the coefficient
+    assert idn.Coeff(gamma_den=(0,)).evaluate(0j) == 0
+    assert idn.Coeff(rat=Fraction(3), gamma_den=(2,), lin_num=(1,)).evaluate(-4 + 0j) == 0
+    with pytest.raises(PoleError, match=r"Gamma pole at s \+ 0 = 0"):
+        idn.Coeff(gamma_num=(0,)).evaluate(-1 + 0j)
+    # a numerator pole raises even where a denominator one could cancel it
+    with pytest.raises(PoleError, match=r"Gamma pole at s \+ 2 = 0"):
+        idn.Coeff(gamma_num=(2,), gamma_den=(0,)).evaluate(-2 + 0j)
+
+
 def test_coeff_evaluate_matches_ratfunc():
-    rng = random.Random(7)
-    s0 = 1.37
-    for _ in range(25):
-        c = idn.Coeff(
-            rat=Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)),
-            gamma_num=tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 2))),
-            gamma_den=tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 2))),
-            lin_num=tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 2))),
-            lin_den=tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 2))),
-        )
-        num, den, gpow = c.as_ratfunc()
-        direct = complex(c.evaluate(s0))
-        horner = lambda p: sum(float(a) * s0**i for i, a in enumerate(p))
-        via = sp.gamma(s0) ** gpow * horner(num) / horner(den)
-        assert abs(direct - via) <= 1e-12 * abs(via)
+    for s0 in (1.37, 1.37 + 0.6j):
+        rng = random.Random(7)
+        for _ in range(25):
+            c = idn.Coeff(
+                rat=Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)),
+                gamma_num=tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 2))),
+                gamma_den=tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 2))),
+                lin_num=tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 2))),
+                lin_den=tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 2))),
+            )
+            num, den, gpow = c.as_ratfunc()
+            direct = complex(c.evaluate(s0))
+            horner = lambda p: sum(float(a) * s0**i for i, a in enumerate(p))
+            via = sp.gamma(s0) ** gpow * horner(num) / horner(den)
+            assert abs(direct - via) <= 1e-12 * abs(via), (s0, c)
 
 
 def test_coeff_constant_term_positions():

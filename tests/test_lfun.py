@@ -93,6 +93,14 @@ def test_continuation_pole_named(e4_200):
         lfun.L_continued((f,), 4.0, (), CFG)
 
 
+def test_continuation_trivial_zeros(delta2100):
+    # every thS coefficient of a cusp word carries 1/Gamma(s), which vanishes
+    # at s = 0, -1, ... with nothing to cancel it
+    d = delta2100
+    for s in (0.0, -1.0):
+        assert lfun.L_continued([d, d], s, (2,)) == 0
+
+
 def test_expansion_round_trips_numeric():
     f = forms.builtin("E4", 2100)
     tl = idn.thI_expand([f, f], (2,))

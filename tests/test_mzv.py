@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from moditer import forms, iterint, mzv, quad
+from moditer import forms, iterint, mzv, qseries, quad
 from moditer.config import NumericsConfig
 from moditer.errors import DivergenceError, DomainError
 
@@ -161,3 +161,11 @@ def test_level4_companions_wired_both_ways():
         assert forms.fricke_evaluate(gm, z) == pytest.approx(
             forms.evaluate_at(forms.fricke_companion(gm), z), abs=1e-10
         )
+
+
+def test_level4_pair_builds_each_series_once(monkeypatch):
+    built = []
+    build = qseries.builtin_form
+    monkeypatch.setattr(qseries, "builtin_form", lambda *a: built.append(a[0]) or build(*a))
+    mzv._level4_pair()
+    assert sorted(built) == ["F", "G"]

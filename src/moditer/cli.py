@@ -21,13 +21,11 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import forms, identities, iterint, lfun, mzv, qseries
+from . import forms, identities, iterint, lfun, mzv, qseries, quad
 from .config import NumericsConfig
 from .errors import DomainError, ModiterError
 
 __all__ = ["main", "run", "verify_suite", "RunReport"]
-
-SUITES = ("eta", "funceq", "thi", "ths", "mzv", "shuffle")
 
 
 @dataclass
@@ -201,7 +199,7 @@ def _config_dict(cfg: NumericsConfig) -> dict:
         "order": cfg.order,
         "height": _f15(cfg.height),
         "panels": cfg.panels,
-        "gl_order": cfg.gl_order,
+        "gl_order": quad.GL_ORDER,
         "tol": _f15(cfg.tol),
         "branch": "principal",
         "cutoff": cfg.cutoff,
@@ -367,16 +365,13 @@ def _rel_check(name, lhs, rhs, tol):
 def _suite_thi(cfg) -> tuple:
     checks = []
     d = forms.builtin("delta", max(cfg.cutoff, 2000))
-    for s, alpha in ((16.0, 2), (15.0, 3)):
-        tl = identities.thI_expand([d, d], (alpha,))
-        via_L = lfun.evaluate_L_terms(tl, [d, d], s, cfg)
-        direct = iterint.iterint_full(iterint.make_spec([(d, s), (d, float(alpha))]), cfg)
-        checks.append(_rel_check(f"thi delta ({s:g},{alpha}) rel", direct, via_L, 1e-5))
     e4 = forms.builtin("E4", max(cfg.cutoff, 2000))
-    tl = identities.thI_expand([e4, e4], (2,))
-    via_L = lfun.evaluate_L_terms(tl, [e4, e4], 8.0, cfg)
-    direct = iterint.iterint_full(iterint.make_spec([(e4, 8.0), (e4, 2.0)]), cfg)
-    checks.append(_rel_check("thi E4 (8,2) rel", direct, via_L, 1e-4))
+    # data.terms lists the last word's expansion: E4's
+    for f, s, alpha, tol in ((d, 16.0, 2, 1e-5), (d, 15.0, 3, 1e-5), (e4, 8.0, 2, 1e-4)):
+        tl = identities.thI_expand([f, f], (alpha,))
+        via_L = lfun.evaluate_L_terms(tl, [f, f], s, cfg)
+        direct = iterint.iterint_full(iterint.make_spec([(f, s), (f, float(alpha))]), cfg)
+        checks.append(_rel_check(f"thi {f.label} ({s:g},{alpha}) rel", direct, via_L, tol))
     return checks, {"terms": [_term_str(t) for t in tl]}
 
 
@@ -391,13 +386,10 @@ def _suite_ths(cfg) -> tuple:
     # round trip: I -> L-expansion, each L evaluated by its continuation
     d = forms.builtin("delta", 400)
     s = 9.0
-    total = 0j
-    a0s = [0.0, 0.0]
-    for t in identities.thI_expand([d, d], (2,)):
-        head = identities.exp_at(t.target.args[0], s)
-        trailing = tuple(int(a) for a in t.target.args[1:])
-        lval = lfun.L_continued([d, d], head, trailing, cfg)
-        total += t.coeff.evaluate(s, a0s) * lval
+    total = lfun._evaluate_terms(
+        identities.thI_expand([d, d], (2,)), [d, d], s,
+        lambda sub, args: lfun.L_continued(sub, args[0], [int(a.real) for a in args[1:]], cfg),
+    )
     direct = iterint.iterint_full(iterint.make_spec([(d, s), (d, 2.0)]), cfg)
     checks.append(_rel_check("round trip delta (9,2) rel", direct, total, 1e-5))
     return checks, {"terms": [_term_str(t) for t in tl]}
@@ -449,6 +441,7 @@ _SUITE_FNS = {
     "mzv": _suite_mzv,
     "shuffle": _suite_shuffle,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def verify_suite(name: str, config: NumericsConfig | None = None) -> RunReport:

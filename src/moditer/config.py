@@ -20,7 +20,6 @@ _ENV_MAP = {
     "order": ("ORDER", int),
     "height": ("HEIGHT", float),
     "panels": ("PANELS", int),
-    "gl_order": ("GL_ORDER", int),
     "tol": ("TOL", float),
     "cutoff": ("CUTOFF", int),
 }
@@ -49,7 +48,6 @@ class NumericsConfig:
     order     -- default q-expansion truncation order
     height    -- imaginary part where "i*infinity" is cut off / panels stop
     panels    -- number of quadrature panels on the main path segment
-    gl_order  -- Gauss-Legendre nodes per panel
     tol       -- target absolute accuracy for quadrature results
     cutoff    -- default number of terms for Dirichlet-type series
     """
@@ -57,7 +55,6 @@ class NumericsConfig:
     order: int = _env_default("order", 64)
     height: float = _env_default("height", 12.0)
     panels: int = _env_default("panels", 64)
-    gl_order: int = _env_default("gl_order", 16)
     tol: float = _env_default("tol", 1e-8)
     cutoff: int = _env_default("cutoff", 2000)
 
@@ -68,8 +65,6 @@ class NumericsConfig:
             raise DomainError("height must be positive and finite")
         if self.panels < 4:
             raise DomainError("panels must be >= 4")
-        if self.gl_order < 2:
-            raise DomainError("gl_order must be >= 2")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise DomainError("tol must be positive and finite")
         if self.cutoff < 1:

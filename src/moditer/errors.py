@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+POLE_EPS = 1e-10  # a divisor this close to 0 counts as hit: PoleError
+
 
 class ModiterError(Exception):
     """Base class for all package-specific errors."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import DomainError, PoleError
+from .errors import POLE_EPS, DomainError, PoleError
 
 __all__ = [
     "SPlus",
@@ -96,9 +96,10 @@ class Coeff:
            * prod (s+c)[lin_num] / prod (s+c)[lin_den] * prod a0[a0_idx].
 
     a0_idx holds 0-based word positions whose constant Fourier term
-    multiplies the coefficient (repeats allowed).  evaluate takes 1/Gamma from
-    _rgamma: at a pole s0 + g in {0, -1, ...} a denominator Gamma gives 0 and a
-    numerator one raises PoleError."""
+    multiplies the coefficient (repeats allowed).  evaluate raises PoleError
+    when s0 lies on a linear pole, s0 + c = 0 for c in lin_den.  It takes
+    1/Gamma from _rgamma: at a pole s0 + g in {0, -1, ...} a denominator Gamma
+    gives 0 and a numerator one raises PoleError."""
 
     rat: Fraction = Fraction(1)
     gamma_num: tuple = ()
@@ -133,6 +134,9 @@ class Coeff:
         )
 
     def evaluate(self, s0: complex, a0_values=()) -> complex:
+        for c in self.lin_den:
+            if abs(s0 + complex(c)) < POLE_EPS:
+                raise PoleError(f"pole divisor hit: s + {c} = 0")
         val = complex(self.rat)
         for g in self.gamma_num:
             r = _rgamma(s0 + g)

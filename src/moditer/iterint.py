@@ -20,7 +20,7 @@ from numpy import convolve as conv_complex
 
 from . import quad
 from .config import NumericsConfig
-from .errors import DivergenceError, DomainError, PoleError
+from .errors import POLE_EPS, DivergenceError, DomainError, PoleError
 from .forms import ModularForm, cusp_part, evaluate_many, evaluate_series, fricke_companion
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 IINF = None  # endpoint sentinel for the cusp at i-infinity
-POLE_EPS = 1e-10  # a partial sum this close to 0 counts as on the divisor
 
 
 @dataclass(frozen=True)
@@ -297,13 +296,29 @@ def completed_Z(spec: IterSpec, config: NumericsConfig | None = None) -> complex
     return scale * iterint_full(spec, config)
 
 
+def _shells(word, exps, cutoff: int) -> np.ndarray:
+    """Shells of L(word; exps): acc[T] = sum over m_1+..+m_n = T of prod a^(i)_{m_i}
+    / prod_i (m_i+..+m_n)^{e_i} for T = 0..cutoff, acc[0] = 0; a form of order
+    below cutoff counts as zero past it.  A convolution cascade, innermost first."""
+    log_t = np.log(np.arange(1, cutoff + 1, dtype=float))
+    acc = None
+    for f, e in zip(reversed(word), reversed(exps)):
+        coeffs = np.zeros(cutoff + 1, dtype=complex)
+        upto = min(cutoff, len(f.coeffs) - 1)
+        coeffs[1 : upto + 1] = [complex(c) for c in f.coeffs[1 : upto + 1]]
+        acc = coeffs if acc is None else conv_complex(coeffs, acc)[: cutoff + 1]
+        acc[1:] *= np.exp(-complex(e) * log_t)
+    return acc
+
+
 def tilde_I_fourier(spec: IterSpec, z: complex, config: NumericsConfig | None = None) -> complex:
     """Fourier-series value of the shifted integral I-tilde at z.
 
     The word must consist of constant-1 slots and cuspidal forms with
-    positive integer exponents, ending in a form.  Coefficient of q^t is
-    built by a convolution cascade: at each form slot (scanning outward) the
-    running total m_r + ... + m_l divides by t^(interval exponent).
+    positive integer exponents, ending in a form.  The coefficient of q^t is
+    the T = t shell of L(forms; block exponents), where a form's block
+    exponent sums its own exponent and those of the 1-slots just before it;
+    the shells come from _shells, the cascade L_direct sums.
     """
     cfg = config if config is not None else NumericsConfig()
     kernels = spec.kernels
@@ -320,22 +335,10 @@ def tilde_I_fourier(spec: IterSpec, z: complex, config: NumericsConfig | None = 
     if kernels[-1].form is None:
         raise DomainError("word must end in a cuspidal form (trailing 1-blocks fold away)")
 
-    form_slots = [i for i in range(len(kernels)) if kernels[i].form is not None]
-    m_cut = cfg.order
-    ts = np.arange(m_cut + 1, dtype=float)
-    ts[0] = 1.0  # never consulted: index 0 stays zero through the cascade
-    acc = None
-    for pos in range(len(form_slots) - 1, -1, -1):
-        slot = form_slots[pos]
-        prev_form = form_slots[pos - 1] if pos else -1
-        # block exponent: the 1-slots before this form plus the form itself
-        interval = sum(alphas[prev_form + 1 : slot + 1])
-        coeffs = np.zeros(m_cut + 1, dtype=complex)
-        fc = kernels[slot].form.coeffs
-        upto = min(m_cut, len(fc) - 1)
-        coeffs[1 : upto + 1] = [complex(c) for c in fc[1 : upto + 1]]
-        acc = coeffs if acc is None else conv_complex(coeffs, acc)[: m_cut + 1]
-        acc = acc / ts ** interval
+    form_slots = [i for i, ks in enumerate(kernels) if ks.form is not None]
+    starts = [0] + [i + 1 for i in form_slots[:-1]]
+    exps = [sum(alphas[a : b + 1]) for a, b in zip(starts, form_slots)]
+    acc = _shells([kernels[i].form for i in form_slots], exps, cfg.order)
     gamma_factor = (-1) ** len(kernels)
     for a in alphas:
         gamma_factor *= math.factorial(a - 1)

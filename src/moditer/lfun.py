@@ -5,9 +5,10 @@ L(f_1..f_n; s_1..s_n) = (-2 pi i)^{-(s_1+..+s_n)} *
     prod a^(i)_{m_i} / ((m_1+..+m_n)^{s_1} (m_2+..+m_n)^{s_2} .. m_n^{s_n})
 
 L_direct sums the series by shells of constant total index T = m_1+..+m_n,
-ascending in T and lexicographically within each shell (realized as a
-convolution cascade).  L_continued evaluates the same function anywhere by
-expanding it into iterated integrals of the forms themselves.
+ascending in T.  The shells come from iterint._shells, whose T = t shell is
+also the q^t coefficient of the shifted integral I-tilde.  L_continued
+evaluates the same function anywhere by expanding it into iterated integrals
+of the forms themselves; evaluate_L_terms and evaluate_I_terms sum a TermList.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy import convolve as conv_complex
+from numpy import convolve as conv_complex  # unused here; modbench/spans.py wraps this name
 
 from . import identities, iterint
 from .config import NumericsConfig
-from .errors import DivergenceError, DomainError, PoleError, TruncationError
+from .errors import DivergenceError, DomainError, TruncationError
 from .forms import ModularForm
 
 __all__ = [
@@ -68,7 +69,6 @@ def convergence_threshold(spec: LSpec) -> float:
 def L_direct(spec: LSpec, config: NumericsConfig | None = None, force: bool = False) -> LValue:
     cfg = config if config is not None else NumericsConfig()
     C = cfg.cutoff
-    n = len(spec.forms)
     for f in spec.forms:
         if f.order < C:
             raise TruncationError(
@@ -82,16 +82,7 @@ def L_direct(spec: LSpec, config: NumericsConfig | None = None, force: bool = Fa
             "pass force=True to sum anyway or use L_continued"
         )
 
-    ts = np.arange(C + 1, dtype=float)
-    ts[0] = 1.0  # index 0 never carries mass
-    acc = None
-    for r in range(n - 1, -1, -1):
-        f = spec.forms[r]
-        coeffs = np.zeros(C + 1, dtype=complex)
-        coeffs[1 : C + 1] = [complex(c) for c in f.coeffs[1 : C + 1]]
-        acc = coeffs if acc is None else conv_complex(coeffs, acc)[: C + 1]
-        acc = acc * np.exp(-complex(spec.s[r]) * np.log(ts))
-    shells = acc
+    shells = iterint._shells(spec.forms, spec.s, C)
     sum_s = sum(complex(v) for v in spec.s)
     pref = cmath.exp(-sum_s * cmath.log(-2j * cmath.pi))
     value = pref * complex(shells.sum())
@@ -111,47 +102,37 @@ def L_direct(spec: LSpec, config: NumericsConfig | None = None, force: bool = Fa
     return LValue(value, abs(pref) * tail if tail != math.inf else tail, pref * last)
 
 
-def _a0_values(word_forms):
-    return [complex(f.a0) for f in word_forms]
-
-
-def _coeff_value(coeff, s0, a0s):
-    for c in coeff.lin_den:
-        if abs(s0 + complex(c)) < iterint.POLE_EPS:
-            raise PoleError(f"pole divisor hit: s + {c} = 0")
-    return coeff.evaluate(s0, a0s)
+def _evaluate_terms(tl, word_forms, s0: complex, value) -> complex:
+    """Sum of coefficient * target over a TermList at s = s0.  value(subword,
+    args) gives a target's number; it runs once per distinct (indices, args)."""
+    a0s = [complex(f.a0) for f in word_forms]
+    cache = {}
+    total = 0j
+    for t in tl:
+        args = tuple(identities.exp_at(a, s0) for a in t.target.args)
+        key = (t.target.indices, args)
+        if key not in cache:
+            cache[key] = value([word_forms[i] for i in t.target.indices], args)
+        total += t.coeff.evaluate(s0, a0s) * cache[key]
+    return total
 
 
 def evaluate_L_terms(tl, word_forms, s0: complex, config=None, force: bool = False) -> complex:
     """Numeric value of a TermList whose targets are multiple L-values."""
     cfg = config if config is not None else NumericsConfig()
-    a0s = _a0_values(word_forms)
-    cache = {}
-    total = 0j
-    for t in tl:
-        args = tuple(identities.exp_at(a, s0) for a in t.target.args)
-        key = (t.target.indices, args)
-        if key not in cache:
-            sub = tuple(word_forms[i] for i in t.target.indices)
-            cache[key] = L_direct(LSpec(sub, args), cfg, force=force).value
-        total += _coeff_value(t.coeff, s0, a0s) * cache[key]
-    return total
+    return _evaluate_terms(
+        tl, word_forms, s0,
+        lambda sub, args: L_direct(LSpec(tuple(sub), args), cfg, force=force).value,
+    )
 
 
 def evaluate_I_terms(tl, word_forms, s0: complex, config=None) -> complex:
     """Numeric value of a TermList whose targets are iterated integrals."""
     cfg = config if config is not None else NumericsConfig()
-    a0s = _a0_values(word_forms)
-    cache = {}
-    total = 0j
-    for t in tl:
-        args = tuple(identities.exp_at(a, s0) for a in t.target.args)
-        key = (t.target.indices, args)
-        if key not in cache:
-            entries = [(word_forms[i], a) for i, a in zip(t.target.indices, args)]
-            cache[key] = iterint.iterint_full(iterint.make_spec(entries), cfg)
-        total += _coeff_value(t.coeff, s0, a0s) * cache[key]
-    return total
+    return _evaluate_terms(
+        tl, word_forms, s0,
+        lambda sub, args: iterint.iterint_full(iterint.make_spec(list(zip(sub, args))), cfg),
+    )
 
 
 def L_continued(forms, s: complex, alphas, config: NumericsConfig | None = None) -> complex:

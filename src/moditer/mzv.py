@@ -20,7 +20,7 @@ from . import forms, iterint
 from .config import NumericsConfig
 from .errors import AccuracyError, DivergenceError, DomainError
 from .forms import ModularForm
-from .quad import geometric_panels, iterated_integral
+from .quad import GL_ORDER, geometric_panels, iterated_integral
 
 __all__ = [
     "MzvIndex",
@@ -204,7 +204,7 @@ def p1_word_integral(flags, config: NumericsConfig | None = None, eps: float = 1
     n = max(48, cfg.panels)
 
     def value(e):
-        return iterated_integral(kernels, _interval_panels(e, n), cfg.gl_order)
+        return iterated_integral(kernels, _interval_panels(e, n), GL_ORDER)
 
     coarse, fine = value(eps), value(eps / 2)
     return (2 * fine - coarse).real

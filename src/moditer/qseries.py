@@ -9,7 +9,6 @@ equalities, not float comparisons.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -161,19 +160,6 @@ class QSeries:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    # -- evaluation ------------------------------------------------------
-
-    def evaluate(self, z: complex) -> complex:
-        """Numeric value at a point of the upper half-plane (q = e^{2 pi i z})."""
-        if z.imag <= 0:
-            raise DomainError("evaluation requires Im z > 0")
-        from .forms import evaluate_series  # forms builds on this module
-
-        acc = complex(evaluate_series([complex(c) for c in self.coeffs], [z])[0])
-        if self.prefactor_num:
-            acc *= cmath.exp(2j * cmath.pi * z * self.prefactor_num / 24)
-        return acc
 
     def __str__(self):
         parts = []

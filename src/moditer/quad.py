@@ -19,6 +19,7 @@ import numpy as np
 from .errors import AccuracyError
 
 __all__ = [
+    "GL_ORDER",
     "gauss_legendre",
     "segment_panels",
     "vertical_panels",
@@ -26,6 +27,8 @@ __all__ = [
     "iterated_integral",
     "adaptive_iterated",
 ]
+
+GL_ORDER = 16  # Gauss-Legendre nodes per panel; adaptive_iterated checks at GL_ORDER + 8
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,8 +127,8 @@ def adaptive_iterated(kernels, panel_builder, config) -> tuple:
     n = config.panels
     err = math.inf
     for _ in range(4):
-        coarse = iterated_integral(kernels, panel_builder(n), config.gl_order)
-        fine = iterated_integral(kernels, panel_builder(n), config.gl_order + 8)
+        coarse = iterated_integral(kernels, panel_builder(n), GL_ORDER)
+        fine = iterated_integral(kernels, panel_builder(n), GL_ORDER + 8)
         err = abs(fine - coarse)
         if err <= config.tol:
             return fine, err

@@ -225,6 +225,11 @@ def test_coeff_gamma_poles():
         idn.Coeff(gamma_num=(2,), gamma_den=(0,)).evaluate(-2 + 0j)
 
 
+def test_coeff_linear_pole():
+    with pytest.raises(PoleError, match=r"pole divisor hit: s \+ 2 = 0"):
+        idn.Coeff(lin_den=(2,)).evaluate(-2 + 0j)
+
+
 def test_coeff_evaluate_matches_ratfunc():
     for s0 in (1.37, 1.37 + 0.6j):
         rng = random.Random(7)

@@ -277,6 +277,30 @@ def test_spec_validation(delta2100):
 
 # --- shifted integrals via Fourier series -----------------------------------
 
+def test_shells_brute_force():
+    # depth 3, a complex exponent, and a middle form shorter than the cutoff
+    cutoff = 40
+    word = [forms.builtin("delta", 60), forms.builtin("E4", 15), forms.builtin("E6", 60)]
+    exps = (2.5 + 0.7j, 1, 3)
+    got = iterint._shells(word, exps, cutoff)
+    assert got.shape == (cutoff + 1,) and got[0] == 0
+
+    def a(f, m):
+        return complex(f.coeffs[m]) if m <= f.order else 0.0
+
+    for T in range(1, cutoff + 1):
+        want, scale = 0j, 0.0
+        for m1 in range(1, T - 1):
+            for m2 in range(1, T - m1):
+                m3 = T - m1 - m2
+                term = (a(word[0], m1) * a(word[1], m2) * a(word[2], m3)
+                        / (T ** exps[0] * (m2 + m3) ** exps[1] * m3 ** exps[2]))
+                want += term
+                scale += abs(term)
+        assert abs(got[T] - want) <= 1e-13 * scale, T
+
+
+
 def test_tilde_fourier_depth1_analytic(delta2100):
     z = 0.8j
     got = iterint.tilde_I_fourier(make_spec([(delta2100, 2)]), z, CFG)

@@ -114,6 +114,20 @@ def test_expansion_round_trips_numeric():
     assert abs(via_I - direct_L) / abs(direct_L) < 1e-5
 
 
+def test_round_trip_continues_each_subword():
+    # a non-cuspidal word's thI expansion has one-form targets; each L is
+    # continued on its own subword, not on the whole word
+    e4, d = forms.builtin("E4", 400), forms.builtin("delta", 400)
+    tl = idn.thI_expand([e4, d], (2,))
+    assert any(len(t.target.indices) == 1 for t in tl)
+    got = lfun._evaluate_terms(
+        tl, [e4, d], 9.0,
+        lambda sub, args: lfun.L_continued(sub, args[0], [int(a.real) for a in args[1:]], CFG),
+    )
+    want = iterint.iterint_report(iterint.make_spec([(e4, 9.0), (d, 2.0)]), CFG).value
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def _sparse_form(coeffs, label):
     from moditer.qseries import QSeries
 

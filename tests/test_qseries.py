@@ -363,29 +363,3 @@ def test_logderiv_zero_series():
     with pytest.raises(DomainError):
         logderiv(q_jet([0, 0, 0]))
 
-
-# ---------------------------------------------------------------- evaluation
-
-def test_evaluate_geometric():
-    import cmath
-
-    z = 0.3 + 1.1j
-    q = cmath.exp(2j * cmath.pi * z)
-    s = q_jet([1, 2, 3])
-    assert abs(s.evaluate(z) - (1 + 2 * q + 3 * q * q)) < 1e-14
-
-
-def test_evaluate_uses_prefactor():
-    import cmath
-
-    z = 1.7j
-    e = eta_series(1, 80)
-    direct = cmath.exp(2j * cmath.pi * z / 24)
-    for n in range(1, 81):
-        direct *= 1 - cmath.exp(2j * cmath.pi * z * n)
-    assert abs(e.evaluate(z) - direct) < 1e-13
-
-
-def test_evaluate_requires_upper_half_plane():
-    with pytest.raises(DomainError):
-        q_jet([1, 1]).evaluate(1.0 - 0.5j)

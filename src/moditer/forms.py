@@ -71,6 +71,12 @@ class ModularForm:
         arr.setflags(write=False)
         return arr
 
+    @cached_property
+    def _cusp_part(self) -> "ModularForm":
+        # built once and kept beside _np_coeffs: one cusp part per live form
+        return ModularForm(self.level, self.weight, self.label + "^0",
+                           (0,) + self.coeffs[1:], self.chi)
+
 
 def _set_fricke(f: ModularForm, g: ModularForm):
     """Wire f and g as each other's Fricke companion (an involution in even weight)."""
@@ -114,11 +120,9 @@ def builtin(name: str, order: int) -> ModularForm:
 
 
 def cusp_part(f: ModularForm) -> ModularForm:
-    """f0 = f - a0: the same form with its constant term zeroed."""
-    if f.is_cuspidal:
-        return f
-    g = ModularForm(f.level, f.weight, f.label + "^0", (0,) + f.coeffs[1:], f.chi)
-    return g
+    """f0 = f - a0: the same form with its constant term zeroed, built once
+    per form and freed with it."""
+    return f if f.is_cuspidal else f._cusp_part
 
 
 def _tail_bound(f: ModularForm, y: float) -> float:

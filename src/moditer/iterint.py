@@ -20,7 +20,7 @@ from numpy import convolve as conv_complex
 
 from . import quad
 from .config import NumericsConfig
-from .errors import POLE_EPS, DivergenceError, DomainError, PoleError
+from .errors import POLE_EPS, AccuracyError, DivergenceError, DomainError, PoleError
 from .forms import ModularForm, cusp_part, evaluate_many, evaluate_series, fricke_companion
 
 __all__ = [
@@ -101,12 +101,39 @@ def _decays(ks: KernelSpec) -> bool:
     return ks.form is not None and not ks.form.coeffs[0]
 
 
-def _kernel_callable(ks: KernelSpec):
-    s = complex(ks.s)
-    form = ks.form
-    if form is None:
-        return lambda z: np.exp((s - 1) * np.log(z))
-    return lambda z: evaluate_many(form, z) * np.exp((s - 1) * np.log(z))
+class _KernelMemo:
+    """Kernel values for one report or one nested_quadrature call, dropped
+    when it returns.  Per grid it takes log z once, evaluate_many once per
+    form and f z^{s-1} once per (form, s), each with the expression of a lone
+    kernel evaluation, so every array is bit-identical to one."""
+
+    def __init__(self):
+        self._grids = {}  # node bytes -> {"log": log z, id(form): f(z), (id(form), s): kernel}
+        self._forms = {}  # id -> form: keeps every id-keyed form alive while the memo is
+
+    def kernel(self, ks: KernelSpec):
+        form, s = ks.form, complex(ks.s)
+        self._forms[id(form)] = form
+        return lambda z: self._value(form, s, z)
+
+    def _value(self, form, s, z):
+        grid = self._grids.setdefault(z.tobytes(), {})
+        key = (id(form), s)
+        if key not in grid:
+            if "log" not in grid:
+                grid["log"] = np.log(z)
+            power = np.exp((s - 1) * grid["log"])
+            if form is not None and id(form) not in grid:
+                grid[id(form)] = evaluate_many(form, z)
+            grid[key] = power if form is None else grid[id(form)] * power
+        return grid[key]
+
+
+def _level(result):
+    """A level of quad.adaptive_iterated: (value, err), or raise its stall."""
+    if isinstance(result, AccuracyError):
+        raise result
+    return result
 
 
 def _sum_label(names) -> str:
@@ -142,9 +169,10 @@ def ones_closed_form(b: complex, s_vec) -> complex:
     return cmath.exp(sum(reversed(s)) * cmath.log(b)) * _trailing_fold(s, names, len(s), [])
 
 
-def _quadrature_value(word, a, b, config):
-    """Raw nested quadrature; word outermost-first (I-notation)."""
-    path_order = [_kernel_callable(ks) for ks in reversed(word)]
+def nested_quadrature(spec: IterSpec, a, b: complex, config: NumericsConfig | None = None) -> complex:
+    """Direct numerical evaluation of I_a^b(spec); a may be IINF."""
+    cfg = config if config is not None else NumericsConfig()
+    word = spec.kernels
     if a is IINF:
         # count innermost layers with no exponential decay; they need the
         # power-law tail stack and a convergence guard
@@ -160,21 +188,55 @@ def _quadrature_value(word, a, b, config):
                     f"integral to i-infinity diverges: trailing exponent sum "
                     f"{acc:.4g} has nonnegative real part"
                 )
-        builder = lambda n: quad.vertical_panels(b, config.height, n, tail=t > 0)
+        builder = lambda n: quad.vertical_panels(b, cfg.height, n, tail=t > 0)
     else:
         builder = lambda n: quad.segment_panels(a, b, n)
-    return quad.adaptive_iterated(path_order, builder, config)
+    memo = _KernelMemo()
+    levels = quad.adaptive_iterated([memo.kernel(ks) for ks in reversed(word)], builder, cfg)
+    return _level(levels[-1])[0]
 
 
-def nested_quadrature(spec: IterSpec, a, b: complex, config: NumericsConfig | None = None) -> complex:
-    """Direct numerical evaluation of I_a^b(spec); a may be IINF."""
-    cfg = config if config is not None else NumericsConfig()
-    value, _ = _quadrature_value(spec.kernels, a, b, cfg)
-    return value
+class _Side:
+    """One side of the split at b: its slots in path order, innermost first.
+
+    Every piece of the constant-term decomposition on this side is a word
+    seq[:p] (read outermost first), and its quadrature with innermost cusp
+    slot i is the word seq[i+1:p] around cusp(seq[i]).  For a fixed i these
+    are the levels of one sweep [cusp(seq[i]), seq[i+1], ...], so each slot's
+    sweep runs once, when a piece first asks for it.  It stops before the
+    first identically zero slot: the pieces that hold one are 0 and ask
+    nothing."""
+
+    def __init__(self, seq, names, b, config, memo):
+        self.seq = seq
+        self.names = names
+        self.b = b
+        self.config = config
+        self.memo = memo
+        self.builder = lambda n: quad.vertical_panels(b, config.height, n, tail=False)
+        self.stop = next((i for i, ks in enumerate(seq) if _is_zero(ks)), len(seq))
+        self._sweeps = {}
+
+    def quadrature(self, i: int, depth: int):
+        """(value, err) of the piece seq[:i+depth+1] at innermost cusp slot i."""
+        if i not in self._sweeps:
+            seq = self.seq
+            # the trailing constant slots' exponents merge into the cusp slot,
+            # summed outermost first as the piece's own list would be
+            cusp = KernelSpec(cusp_part(seq[i].form), sum(complex(ks.s) for ks in seq[i::-1]))
+            path = [cusp] + seq[i + 1 : self.stop]
+            kernels = [self.memo.kernel(ks) for ks in path]
+            self._sweeps[i] = quad.adaptive_iterated(kernels, self.builder, self.config)
+        return _level(self._sweeps[i][depth])
 
 
-def _eval_piece(kernels, names, b, config, divisors):
-    """I_{i-inf}^b for one word via the constant-term decomposition.
+def _is_zero(ks: KernelSpec) -> bool:
+    return ks.form is not None and not any(ks.form.coeffs)
+
+
+def _eval_piece(side: _Side, p: int, divisors):
+    """I_{i-inf}^b for the piece side.seq[:p] via the constant-term
+    decomposition.
 
     Each slot splits as f = f0 + a0.  Expanding the word by multilinearity
     gives one term per subset D of cusp-part slots, plus the all-constant
@@ -184,31 +246,33 @@ def _eval_piece(kernels, names, b, config, divisors):
     exponents into s_last; slots before it range over both f0 and a0, and by
     multilinearity that sum is the one word with the full forms f there.
     This word converges toward i-infinity although its outer forms do not
-    decay, because its innermost layer f0_last decays exponentially.  So the
-    piece costs one quadrature per cusp slot with a nonzero trailing product.
+    decay, because its innermost layer f0_last decays exponentially.  Each
+    such word is one level of its slot's sweep (see _Side), so a report runs
+    one adaptive sweep per cusp slot with a nonzero trailing product on each
+    side of the split, whatever the number of pieces.
 
     Returns (value, error estimate).  Pole guards fire only on terms whose
     constant-term product is nonzero; a piece holding an identically zero
     form is 0 and consults no divisor.
     """
-    if any(ks.form is not None and not any(ks.form.coeffs) for ks in kernels):
+    kernels = side.seq[p - 1 :: -1]
+    names = side.names[p - 1 :: -1]
+    if any(_is_zero(ks) for ks in kernels):
         return 0j, 0.0
-    p = len(kernels)
     s = [complex(ks.s) for ks in kernels]
     a0 = [_a0(ks) for ks in kernels]
     total = 0j
     err = 0.0
     A = math.prod(a0)
     if A != 0:
-        closed = cmath.exp(sum(reversed(s)) * cmath.log(b))
+        closed = cmath.exp(sum(reversed(s)) * cmath.log(side.b))
         total += complex(A) * closed * _trailing_fold(s, names, p, divisors)
     for last in range(p):
         trailing = math.prod(a0[last + 1 :])
         if not ks_has_cusp(kernels[last]) or trailing == 0:
             continue
         coeff = complex(trailing) * _trailing_fold(s, names, p - 1 - last, divisors)
-        word = list(kernels[:last]) + [KernelSpec(cusp_part(kernels[last].form), sum(s[last:]))]
-        value, qerr = _quadrature_value(word, IINF, b, config)
+        value, qerr = side.quadrature(p - 1 - last, last)
         total += coeff * value
         err += abs(coeff) * qerr
     return total, err
@@ -255,29 +319,32 @@ def iterint_report(spec: IterSpec, config: NumericsConfig | None = None) -> Iter
     for i, ks in enumerate(kernels):
         k = 0 if ks.form is None else ks.form.weight
         reflected_names.append(f"s_{i + 1} - {k}" if k else f"s_{i + 1}")
+    # the plain pieces f_{m+1}..f_n are prefixes of the word read from the
+    # inside, the reflected ones f~_m..f~_1 prefixes of the reflected word
+    memo = _KernelMemo()
+    plain = _Side(list(reversed(kernels)), list(reversed(names)), b, cfg, memo)
+    mirror = _Side(reflected, reflected_names, b, cfg, memo)
 
     divisors: list = []
     total = 0j
     err = 0.0
     for m in range(n + 1):
         if m == n:
-            plain, plain_err = 1.0 + 0j, 0.0
+            plain_v, plain_err = 1.0 + 0j, 0.0
         else:
-            plain, plain_err = _eval_piece(kernels[m:], names[m:], b, cfg, divisors)
+            plain_v, plain_err = _eval_piece(plain, n - m, divisors)
         if m == 0:
             refl, refl_err = 1.0 + 0j, 0.0
         else:
-            word = list(reversed(reflected[:m]))
-            word_names = list(reversed(reflected_names[:m]))
             sum_s = sum(ks.s for ks in kernels[:m])
             sum_k = sum(0 if ks.form is None else ks.form.weight for ks in kernels[:m])
             pref = cmath.exp(1j * cmath.pi * sum_s) * cmath.exp(
                 (-sum_s + sum_k / 2.0) * math.log(N)
             )
-            inner, inner_err = _eval_piece(word, word_names, b, cfg, divisors)
+            inner, inner_err = _eval_piece(mirror, m, divisors)
             refl, refl_err = pref * inner, abs(pref) * inner_err
-        total += plain * refl
-        err += abs(plain) * refl_err + abs(refl) * plain_err
+        total += plain_v * refl
+        err += abs(plain_v) * refl_err + abs(refl) * plain_err
     seen = []
     for d in divisors:
         if d not in seen:
@@ -305,7 +372,7 @@ def _shells(word, exps, cutoff: int) -> np.ndarray:
     for f, e in zip(reversed(word), reversed(exps)):
         coeffs = np.zeros(cutoff + 1, dtype=complex)
         upto = min(cutoff, len(f.coeffs) - 1)
-        coeffs[1 : upto + 1] = [complex(c) for c in f.coeffs[1 : upto + 1]]
+        coeffs[1 : upto + 1] = f._np_coeffs[1 : upto + 1]
         acc = coeffs if acc is None else conv_complex(coeffs, acc)[: cutoff + 1]
         acc[1:] *= np.exp(-complex(e) * log_t)
     return acc

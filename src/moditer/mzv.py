@@ -11,6 +11,7 @@ Fricke reflection it shares with the iterint layer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -204,7 +205,7 @@ def p1_word_integral(flags, config: NumericsConfig | None = None, eps: float = 1
     n = max(48, cfg.panels)
 
     def value(e):
-        return iterated_integral(kernels, _interval_panels(e, n), GL_ORDER)
+        return iterated_integral(kernels, _interval_panels(e, n), GL_ORDER)[-1]
 
     coarse, fine = value(eps), value(eps / 2)
     return (2 * fine - coarse).real
@@ -219,10 +220,12 @@ def mzv_p1_integral(idx: MzvIndex, config: NumericsConfig | None = None) -> floa
 _KERNEL_ORDER = 256
 
 
+@functools.lru_cache(maxsize=1)
 def _level4_pair():
     """F for dt/(1-t) slots and G-16F for dt/t slots, each with its Fricke
     companion: F|w4 = F - G/16 = -(G-16F)/16 is built in, so G-16F is read
-    off it, and (G-16F)|w4 = -G - 16(F - G/16) = -16F is wired here."""
+    off it, and (G-16F)|w4 = -G - 16(F - G/16) = -16F is wired here.  Built
+    once: every pullback uses the same pair at the same order."""
     f = forms.builtin("F", _KERNEL_ORDER)
     gm = ModularForm(4, 2, "G-16F", tuple(-16 * c for c in f.fricke.coeffs))
     forms._set_fricke(gm, ModularForm(4, 2, "G-16F|w4", tuple(-16 * b for b in f.coeffs)))

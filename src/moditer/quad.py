@@ -3,7 +3,10 @@
 A path is a list of directed straight panels (z_start, z_end).  Each panel
 carries a fixed Gauss-Legendre grid; nested integrals are built by one
 cumulative-antiderivative sweep per integration level, so inner values are
-available exactly at the outer level's nodes (no re-evaluation).
+available exactly at the outer level's nodes (no re-evaluation).  A sweep
+returns the value of every level: level j is the integral of the word
+kernels[:j+1], bit for bit what a sweep of that prefix alone returns, so one
+sweep serves a whole family of words that share their inner layers.
 
 Kernels are callables acting on flat complex arrays and are listed in path
 order: kernels[0] is the innermost layer, integrated nearest the path start.
@@ -89,12 +92,13 @@ def vertical_panels(b: complex, height: float, n_panels: int, tail: bool):
     return panels
 
 
-def iterated_integral(kernels, panels, g: int) -> complex:
-    """Nested integral of the word over the directed panel chain.
+def iterated_integral(kernels, panels, g: int) -> list:
+    """Nested integrals of the word over the directed panel chain, one per
+    level.
 
-    kernels[0] is innermost (nearest panels[0][0], the path start); the
-    return value is the full integral of kernels[-1] times the accumulated
-    inner layers.
+    kernels[0] is innermost (nearest panels[0][0], the path start); entry j
+    of the returned list is the full integral of kernels[j] times the
+    accumulated inner layers kernels[:j].
     """
     x, w = gauss_legendre(g)
     u = _cumulative_operator(g)
@@ -105,35 +109,53 @@ def iterated_integral(kernels, panels, g: int) -> complex:
     zs = mids[:, None] + halves[:, None] * x[None, :]
     flat = zs.ravel()
 
+    values = []
     inner = None
     for level, kern in enumerate(kernels):
         k = np.asarray(kern(flat), dtype=complex).reshape(zs.shape)
         h = k if inner is None else k * inner
+        hw = h @ w
+        values.append(complex(hw @ halves))
         if level == len(kernels) - 1:
-            return complex((h @ w) @ halves)
-        per_panel = (h @ w) * halves
+            return values
+        per_panel = hw * halves
         offsets = np.concatenate(([0.0], np.cumsum(per_panel)[:-1]))
         inner = (h @ u.T) * halves[:, None] + offsets[:, None]
     raise ValueError("empty kernel word")
 
 
-def adaptive_iterated(kernels, panel_builder, config) -> tuple:
-    """Evaluate with the configured panel count and again at higher node
-    order; double the panels until the two agree within tolerance.
+def adaptive_iterated(kernels, panel_builder, config) -> list:
+    """Every level of the word, each checked on its own.
 
-    panel_builder(n_panels) must return the panel chain.  Returns
-    (value, error_estimate); deterministic for a fixed config.
+    Level j is served exactly as a call on kernels[:j+1] alone would be:
+    evaluate with the configured panel count and again at higher node
+    order, and double the panels until that level's two values agree within
+    tolerance.  Each attempt sweeps only up to the deepest level still open.
+
+    panel_builder(n_panels) must return the panel chain.  Returns one entry
+    per level: (value, error_estimate), or the AccuracyError at which that
+    level stalled; deterministic for a fixed config.
     """
     n = config.panels
-    err = math.inf
+    out = [None] * len(kernels)
+    gaps = [math.inf] * len(kernels)
     for _ in range(4):
-        coarse = iterated_integral(kernels, panel_builder(n), GL_ORDER)
-        fine = iterated_integral(kernels, panel_builder(n), GL_ORDER + 8)
-        err = abs(fine - coarse)
-        if err <= config.tol:
-            return fine, err
+        open_levels = [j for j, r in enumerate(out) if r is None]
+        if not open_levels:
+            return out
+        word = kernels[: open_levels[-1] + 1]
+        panels = panel_builder(n)
+        coarse = iterated_integral(word, panels, GL_ORDER)
+        fine = iterated_integral(word, panels, GL_ORDER + 8)
+        for j in open_levels:
+            gaps[j] = abs(fine[j] - coarse[j])
+            if gaps[j] <= config.tol:
+                out[j] = (fine[j], gaps[j])
         n *= 2
-    raise AccuracyError(
-        f"quadrature stalled at {n // 2} panels with error estimate {err:.3e} "
-        f"(tolerance {config.tol:.1e})"
-    )
+    for j, r in enumerate(out):
+        if r is None:
+            out[j] = AccuracyError(
+                f"quadrature stalled at {n // 2} panels with error estimate {gaps[j]:.3e} "
+                f"(tolerance {config.tol:.1e})"
+            )
+    return out

@@ -2,14 +2,16 @@
 i/sqrt(N), and the Fourier evaluator for the shifted integrals."""
 
 import cmath
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from moditer import forms, iterint
+from moditer import forms, iterint, mzv
 from moditer.config import NumericsConfig
 from moditer.errors import DivergenceError, DomainError, PoleError
 from moditer.iterint import IINF, make_spec, nested_quadrature, ones_closed_form
@@ -207,7 +209,9 @@ def test_report_divisors(delta2100, e4_200):
 
 def test_multilinear_fold_one_quadrature_per_cusp_slot(monkeypatch, e4_200):
     # every slot of E4^5 has a nonzero constant term, so each of the 12
-    # pieces of the split runs one quadrature per slot: 5 + 4*(p + 5-p) + 5
+    # pieces of the split needs one quadrature per slot, 30 in all; the
+    # pieces sharing an innermost cusp slot are levels of one adaptive sweep,
+    # one per slot on each side of the split
     calls = []
     adaptive = iterint.quad.adaptive_iterated
 
@@ -218,7 +222,67 @@ def test_multilinear_fold_one_quadrature_per_cusp_slot(monkeypatch, e4_200):
     monkeypatch.setattr(iterint.quad, "adaptive_iterated", counting)
     s = (1.5, 2.5, 1.7, 2.2, 3.1 + 0.2j)
     iterint.iterint_report(make_spec([(e4_200, x) for x in s]), CFG)
-    assert len(calls) == 30
+    assert len(calls) == 10
+    assert sorted(len(args[0]) for args in calls) == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
+
+# Bits of value, err and the divisors as one adaptive quadrature per piece and
+# cusp slot computed them; the shared sweeps must reproduce every bit.
+PINNED_CFG = NumericsConfig(order=64, height=12.0, panels=64, tol=1e-8, cutoff=2000)
+E4_5 = [("E4", 200, s) for s in (1.5, 2.5, 1.7, 2.2, 3.1 + 0.2j)]
+PINNED_REPORTS = [
+    ([("delta", 64, 8.0)],
+     ("-0x1.fa39dfa553d16p-10", "0x1.5d0fc080e4483p-60"), "0x1.0000000000000p-62", ()),
+    ([("delta", 2100, 9.0), ("delta", 2100, 2.0)],
+     ("-0x1.a68d3693be316p-70", "-0x1.f7f1bdfe3620bp-22"), "0x1.58739e8233811p-74", ()),
+    (E4_5, ("-0x1.a40ad28da9ed0p-14", "-0x1.01d0e23fee553p-10"), "0x1.424aaf1ce94cfp-57",
+     ("s_5", "s_4 + s_5", "s_3 + s_4 + s_5", "s_2 + s_3 + s_4 + s_5",
+      "s_1 + s_2 + s_3 + s_4 + s_5", "s_1 - 4", "s_2 - 4 + s_1 - 4",
+      "s_3 - 4 + s_2 - 4 + s_1 - 4", "s_4 - 4 + s_3 - 4 + s_2 - 4 + s_1 - 4",
+      "s_5 - 4 + s_4 - 4 + s_3 - 4 + s_2 - 4 + s_1 - 4")),
+    ([("G", 64, 0.5 + 0.3j), ("F", 64, 1.7), ("G", 64, 2.1)],
+     ("0x1.c723a05a42a5cp-12", "0x1.71d52834425dcp-12"), "0x1.7eabd54eb06eep-64",
+     ("s_3", "s_1 - 2", "s_2 - 2 + s_1 - 2", "s_3 - 2 + s_2 - 2 + s_1 - 2")),
+    ([("E4", 64, 2.2), ("delta", 64, 7.1), ("E6", 64, 3.3)],
+     ("0x1.24ff524958a04p-12", "0x1.9346b89b6b95cp-12"), "0x1.31f7600d44cfcp-62",
+     ("s_3", "s_1 - 4")),
+]
+
+
+def _bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+@pytest.mark.parametrize("word, value, err, divisors", PINNED_REPORTS)
+def test_report_bits_pinned(word, value, err, divisors):
+    spec = make_spec([(forms.builtin(name, order), x) for name, order, x in word])
+    rep = iterint.iterint_report(spec, PINNED_CFG)
+    assert (_bits(rep.value), rep.err_estimate.hex(), rep.divisors) == (value, err, divisors)
+
+
+def test_mzv_pullback_and_shuffle_word_bits_pinned():
+    rep = mzv.modular_raw_integral(mzv.MzvIndex((2, 1, 1)), PINNED_CFG)
+    assert (_bits(rep.value), rep.err_estimate.hex(), rep.divisors) == (
+        ("0x1.6c16c16c16c19p-23", "-0x1.452b008fc9ffcp-74"), "0x1.e684e89726f65p-76", ())
+    d = forms.builtin("delta", 300)
+    word = make_spec([(d, 1.3 + 0.2j), (d, 2.1 - 0.4j), (d, 1.7)])
+    assert _bits(nested_quadrature(word, 1.5j, 0.35j, PINNED_CFG)) == (
+        "0x1.db7054bfd1df2p-29", "-0x1.2979fa8534ad4p-26")
+
+
+def test_report_keeps_no_form_alive():
+    # the kernel memo and the sweeps live for one call; a cusp part is kept
+    # on its form and freed with it
+    e4, d, g, f = (forms.builtin(n, 64) for n in ("E4", "delta", "G", "F"))
+    iterint.iterint_report(make_spec([(e4, 2.2), (d, 7.1), (e4, 3.3)]), CFG)
+    iterint.iterint_report(make_spec([(g, 0.5 + 0.3j), (f, 1.7), (g, 2.1)]), CFG)
+    nested_quadrature(make_spec([(d, 1.3), (e4, 2.0)]), 1.5j, 0.35j, CFG)
+    assert forms.cusp_part(e4) is forms.cusp_part(e4)
+    used = [h for form in (e4, d, g, f) for h in (form, form.fricke)]
+    refs = [weakref.ref(h) for h in used + [forms.cusp_part(h) for h in used]]
+    del e4, d, g, f, used
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 NON_CUSPIDAL_DEPTH3 = (
@@ -253,7 +317,8 @@ def test_zero_form_piece_consults_no_divisor(e4_200):
     forms._set_fricke(zero, zero)
     divisors = []
     kernels = make_spec([(e4_200, 2.5), (zero, 1.5)]).kernels
-    assert iterint._eval_piece(kernels, ["s_1", "s_2"], 1j, CFG, divisors) == (0, 0.0)
+    side = iterint._Side(list(reversed(kernels)), ["s_2", "s_1"], 1j, CFG, iterint._KernelMemo())
+    assert iterint._eval_piece(side, 2, divisors) == (0, 0.0)
     assert divisors == []
     # only the plain piece (E4; s_2) is nonzero and consults a divisor
     rep = iterint.iterint_report(make_spec([(zero, 1.5), (e4_200, 2.5)]), CFG)

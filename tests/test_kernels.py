@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from moditer import forms, iterint, lfun, qseries, quad
+from moditer.config import NumericsConfig
 
 EPS = np.finfo(float).eps
 
@@ -125,6 +126,47 @@ def test_height_cut_edge_cases():
         zs = np.array([-0.03j, 0.2 - 0.01j])
         assert np.array_equal(forms.evaluate_series(coeffs, zs),
                               forms.horner_many(coeffs, np.exp(2j * np.pi * zs)))
+
+
+def _power_kernels():
+    # f z^{s-1} for a mixed word, innermost first, as iterint builds them
+    d, e4 = forms.builtin("delta", 64), forms.builtin("E4", 64)
+    return [lambda z, f=f, s=s: forms.evaluate_many(f, z) * np.exp((s - 1) * np.log(z))
+            for f, s in ((d, 3.0), (e4, 1.5 + 0.5j), (d, 2.0), (e4, 0.7))]
+
+
+def _bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+def test_every_level_is_its_prefix_bit_for_bit():
+    kernels = _power_kernels()
+    for panels in (quad.vertical_panels(1j, 12.0, 16, tail=False),
+                   quad.segment_panels(1.5j, 0.2 + 0.35j, 8)):
+        for g in (quad.GL_ORDER, quad.GL_ORDER + 8):
+            levels = quad.iterated_integral(kernels, panels, g)
+            assert len(levels) == len(kernels)
+            for j, value in enumerate(levels):
+                alone = quad.iterated_integral(kernels[: j + 1], panels, g)
+                assert _bits(value) == _bits(alone[-1])
+
+
+@pytest.mark.parametrize("tol", [1e-17, 1e-19])
+def test_adaptive_serves_each_level_as_its_own_call(tol):
+    # at 4 panels the levels resolve after different numbers of doublings,
+    # and at 1e-19 the innermost one stalls while the others resolve
+    kernels = _power_kernels()
+    cfg = NumericsConfig(panels=4, tol=tol)
+    builder = lambda n: quad.vertical_panels(1j, 12.0, n, tail=False)
+    shared = quad.adaptive_iterated(kernels, builder, cfg)
+    for j, got in enumerate(shared):
+        alone = quad.adaptive_iterated(kernels[: j + 1], builder, cfg)[-1]
+        if isinstance(alone, Exception):
+            assert (type(got), str(got)) == (type(alone), str(alone))
+        else:
+            assert (_bits(got[0]), got[1].hex()) == (_bits(alone[0]), alone[1].hex())
+    if tol == 1e-19:
+        assert [isinstance(r, Exception) for r in shared] == [True, False, False, False]
 
 
 def test_traced_names_all_present():

@@ -137,14 +137,15 @@ def test_modular_route_to_near_machine_precision(ks):
 
 
 def test_modular_route_is_one_iterint_report(monkeypatch):
-    # one report per MZV; each of its 2w quadratures takes a coarse and a
-    # fine sweep, as the block loop it replaced did
+    # one report per MZV; its 2w quadratures share one innermost cusp slot
+    # on each side of the split, so they are the levels of two adaptive
+    # sweeps, each a coarse and a fine sweep
     sweeps = []
     reports = []
     sweep, report = quad.iterated_integral, iterint.iterint_report
     monkeypatch.setattr(quad, "iterated_integral", lambda *a: sweeps.append(1) or sweep(*a))
     monkeypatch.setattr(iterint, "iterint_report", lambda *a: reports.append(1) or report(*a))
-    for ks, want in [((3,), 12), ((2, 1), 12), ((4,), 16), ((3, 1), 16), ((2, 2), 16), ((2, 1, 1), 16)]:
+    for ks, want in [((3,), 4), ((2, 1), 4), ((4,), 4), ((3, 1), 4), ((2, 2), 4), ((2, 1, 1), 4)]:
         sweeps.clear()
         reports.clear()
         mzv.mzv_modular_integral(mzv.MzvIndex(ks), CFG)
@@ -167,5 +168,9 @@ def test_level4_pair_builds_each_series_once(monkeypatch):
     built = []
     build = qseries.builtin_form
     monkeypatch.setattr(qseries, "builtin_form", lambda *a: built.append(a[0]) or build(*a))
-    mzv._level4_pair()
+    mzv._level4_pair.cache_clear()
+    pair = mzv._level4_pair()
+    assert sorted(built) == ["F", "G"]
+    # cached: a second call builds nothing and returns the same forms
+    assert mzv._level4_pair() is pair
     assert sorted(built) == ["F", "G"]

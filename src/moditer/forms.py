@@ -97,7 +97,8 @@ def builtin(name: str, order: int) -> ModularForm:
 
     Level 4: F, G (= theta4); level 1: delta and E<k>.  Companions follow
     from theta(-1/(4z)) = sqrt(-2iz) theta(z): G-tilde = -G and
-    F-tilde = F - G/16; level-1 forms are self-companion (weight even).
+    F-tilde = F - G/16; level-1 forms are self-companion (weight even),
+    except E2, which is only quasimodular and gets none.
     """
     if name in ("G", "theta4"):
         g = from_qseries(qseries.builtin_form("G", order), 4, 2, "G")
@@ -114,7 +115,8 @@ def builtin(name: str, order: int) -> ModularForm:
         qs = qseries.builtin_form(name, order)
         weight = 12 if name == "delta" else int(name[1:])
         f = from_qseries(qs, 1, weight, name)
-        _set_fricke(f, f)  # level 1, even weight: f|w1 = f
+        if weight != 2:
+            _set_fricke(f, f)  # level 1, even weight: f|w1 = f
         return f
     raise DomainError(f"unknown built-in form {name!r}")
 

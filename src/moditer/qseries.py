@@ -4,7 +4,9 @@ A QSeries holds rational coefficients for q^0..q^order together with a
 fractional prefactor q^(prefactor_num/24); the 1/24 lattice is exactly
 what eta quotients need.  All arithmetic is exact; identities between
 built-ins (eta quotients, log-derivatives) are therefore testable as
-equalities, not float comparisons.
+equalities, not float comparisons.  eta is Euler's pentagonal series, and
+every power -- delta = q eta^24, theta^4, the eta quotients -- goes through
+one routine, Miller's recurrence, with one exact division per coefficient.
 """
 
 from __future__ import annotations
@@ -152,14 +154,11 @@ class QSeries:
             raise DomainError("series powers must be integers")
         if n < 0:
             return (1 / self) ** (-n)
-        result = QSeries((1,) + (0,) * self.order, self.order, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        v = self.valuation()
+        if v is None:
+            return QSeries((1,) if n == 0 else (), self.order, n * self.prefactor_num)
+        g = _pow_coeffs(self.coeffs[v:], n, self.order - n * v)
+        return QSeries((0,) * (n * v) + g, self.order, n * self.prefactor_num)
 
     def __str__(self):
         parts = []
@@ -185,15 +184,31 @@ def _mul_coeffs(a, b, m):
 
 
 def _div_coeffs(a, b, m):
-    lead = Fraction(b[0])
+    # acc stays in the coefficients' own type; one exact division per term
+    lead = b[0]
     out = []
     for n in range(m + 1):
-        acc = Fraction(a[n]) if n < len(a) else Fraction(0)
+        acc = a[n] if n < len(a) else 0
         for j in range(1, min(n, len(b) - 1) + 1):
             if b[j]:
                 acc -= b[j] * out[n - j]
-        out.append(acc / lead)
+        out.append(_norm(Fraction(acc, lead)))
     return tuple(out)
+
+
+def _pow_coeffs(u, k, m):
+    """u^k to q^m for u[0] != 0, by J.C.P. Miller's recurrence
+    n u_0 g_n = sum_j ((k+1) j - n) u_j g_{n-j}: one exact division per term."""
+    terms = [(j, u[j]) for j in range(1, min(m, len(u) - 1) + 1) if u[j]]
+    g = [u[0] ** k]
+    for n in range(1, m + 1):
+        acc = 0
+        for j, uj in terms:
+            if j > n:
+                break
+            acc += ((k + 1) * j - n) * uj * g[n - j]
+        g.append(_norm(Fraction(acc, n * u[0])))
+    return tuple(g)
 
 
 # -- number-theoretic scalars ---------------------------------------------
@@ -268,37 +283,18 @@ def eisenstein_series(k: int, l: int, order: int) -> QSeries:
 
 
 def eta_series(l: int, order: int) -> QSeries:
-    """eta(lz): prefactor q^{l/24} times prod_{n>=1} (1 - q^{ln})."""
+    """eta(lz): prefactor q^{l/24} times prod_{n>=1} (1 - q^{ln}), summed as
+    Euler's pentagonal series sum_k (-1)^k q^{l k(3k-1)/2} over all integers k."""
     if l < 1:
         raise DomainError("eta_series needs l >= 1")
     coeffs = [1] + [0] * order
-    for n in range(1, order // l + 1):
-        # multiply by (1 - q^{ln}) in place, top down
-        step = l * n
-        for i in range(order, step - 1, -1):
-            coeffs[i] -= coeffs[i - step]
+    k = 1
+    while l * k * (3 * k - 1) // 2 <= order:
+        for e in (l * k * (3 * k - 1) // 2, l * k * (3 * k + 1) // 2):
+            if e <= order:
+                coeffs[e] = -1 if k % 2 else 1
+        k += 1
     return QSeries(tuple(coeffs), order, prefactor_num=l)
-
-
-def _jacobi_cube_mantissa(order: int):
-    """prod (1-q^n)^3 = sum_{n>=0} (-1)^n (2n+1) q^{n(n+1)/2}, as a dense list."""
-    coeffs = [0] * (order + 1)
-    n = 0
-    while n * (n + 1) // 2 <= order:
-        coeffs[n * (n + 1) // 2] = (2 * n + 1) * (-1 if n % 2 else 1)
-        n += 1
-    return coeffs
-
-
-def _delta_coeffs(order: int):
-    # (eta mantissa)^24 as ((..)^3)^8, multiplying by the sparse cube each
-    # time; far cheaper than the direct 24-fold product at large order.
-    cube = _jacobi_cube_mantissa(order)
-    acc = list(cube)
-    for _ in range(7):
-        acc = list(_mul_coeffs(acc, cube, order))
-    # shift by one q-power: delta = q * mantissa^24
-    return tuple([0] + acc[:order])
 
 
 def builtin_form(name: str, order: int) -> QSeries:
@@ -309,17 +305,13 @@ def builtin_form(name: str, order: int) -> QSeries:
         e4 = eisenstein_series(2, 4, order)
         return (e1 - 3 * e2 + 2 * e4) * Fraction(-1, 24)
     if name in ("G", "theta4"):
-        theta = [0] * (order + 1)
-        theta[0] = 1
-        n = 1
-        while n * n <= order:
+        theta = [1] + [0] * order
+        for n in range(1, math.isqrt(order) + 1):
             theta[n * n] = 2
-            n += 1
-        t = QSeries(tuple(theta), order)
-        sq = t * t
-        return sq * sq
+        return QSeries(tuple(theta), order) ** 4
     if name == "delta":
-        return QSeries(_delta_coeffs(order), order)
+        # delta = q * (eta mantissa)^24
+        return QSeries((0,) + (eta_series(1, order) ** 24).coeffs, order)
     if name == "lambda":
         # the quotient carries its q-valuation in the prefactor; lambda is a
         # weight-0 function, so fold it back into a plain jet

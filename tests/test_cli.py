@@ -10,10 +10,19 @@ import sys
 
 import pytest
 
+import moditer
 from moditer import cli, forms, iterint
 from moditer.errors import DomainError
 
 ZETA3 = 1.2020569031595942854
+
+
+def child_env(**extra):
+    """os.environ for a child interpreter that imports this moditer, also
+    from a checkout where only pytest's pythonpath setting finds it."""
+    src = os.path.dirname(os.path.dirname(moditer.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def run_cli(capsys, *argv):
@@ -57,8 +66,8 @@ def test_byte_identical_output_across_processes():
         (["iterint", "delta", "delta", "--s", "9,2"], "I(delta,delta; 9,2)"),
     ):
         cmd = [sys.executable, "-m", "moditer.cli", *args]
-        a = subprocess.run(cmd, capture_output=True, check=True)
-        b = subprocess.run(cmd, capture_output=True, check=True)
+        a = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
+        b = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
         assert a.stdout == b.stdout
         assert b"RuntimeWarning" not in a.stderr
         (v,) = json.loads(a.stdout)["values"]
@@ -87,6 +96,7 @@ def test_exit_codes(capsys):
         ("iterint", "delta", "--s", "8", "--tol", "nan"),
         ("qexp", "F", "--height", "inf"),
         ("lvalue", "G", "--s", "1", "--force", "--output", "csv"),
+        ("iterint", "E2", "--s", "1.5"),  # quasimodular: no Fricke companion
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, ""), argv
@@ -135,9 +145,8 @@ def test_env_and_flag_precedence(capsys, monkeypatch):
 @pytest.mark.parametrize("raw", ["abc", "nan"])
 def test_bad_env_value_fails_at_startup(raw):
     # the config is read when the CLI runs, not when moditer is imported
-    env = dict(os.environ, MODITER_TOL=raw)
     got = subprocess.run([sys.executable, "-m", "moditer.cli", "qexp", "delta"],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=child_env(MODITER_TOL=raw))
     assert (got.returncode, got.stdout) == (1, "")
     assert got.stderr.startswith("error:")
     assert "Traceback" not in got.stderr
@@ -145,7 +154,8 @@ def test_bad_env_value_fails_at_startup(raw):
 
 def test_import_loads_no_scipy():
     code = "import sys, moditer.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=child_env())
     assert got.stdout == "[]\n"
 
 

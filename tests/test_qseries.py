@@ -2,11 +2,13 @@
 
 Every nontrivial expected value is produced by an independent oracle
 implemented here (Akiyama-Tanigawa, brute-force divisor sums, schoolbook
-convolution, the pentagonal-number theorem) rather than by the code under
+convolution, the eta product, Hecke relations) rather than by the code under
 test.
 """
 
+import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,14 @@ def eta_mantissa_pentagonal(order):
             if e <= order:
                 out[e] += -1 if kk % 2 else 1
         k += 1
+    return out
+
+
+def eta_mantissa_product(l, order):
+    """prod_{n>=1} (1 - q^{ln}) by schoolbook multiplication, factor by factor."""
+    out = [1] + [0] * order
+    for n in range(1, order // l + 1):
+        out = conv_brute(out, [1] + [0] * (l * n - 1) + [-1], order)
     return out
 
 
@@ -171,6 +181,42 @@ def test_pow_zero_is_one():
     assert (a ** 0).prefactor_num == 0
 
 
+def same_series(a, b):
+    """Equal coefficients (type for type), order and prefactor."""
+    assert (a.order, a.prefactor_num) == (b.order, b.prefactor_num)
+    assert [(type(c), c) for c in a.coeffs] == [(type(c), c) for c in b.coeffs]
+
+
+@st.composite
+def q_series(draw):
+    """Fraction coefficients, some leading zeros (all of them: the zero
+    series) and a prefactor on the 1/24 lattice."""
+    order = draw(st.integers(0, 7))
+    body = draw(st.lists(st.fractions(-9, 9, max_denominator=6),
+                         min_size=order + 1, max_size=order + 1))
+    zeros = draw(st.integers(0, order + 1))
+    return q_jet([0] * zeros + body[zeros:], order, draw(st.sampled_from((0, 1, 5, 24, -7))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_series(), st.integers(0, 6))
+def test_pow_is_repeated_product(x, n):
+    one = q_jet([1], x.order)
+    same_series(x ** n, reduce(lambda acc, _: acc * x, range(n), one))
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_series(), st.integers(1, 6))
+def test_negative_pow_is_power_of_reciprocal(x, n):
+    if x.valuation() is None:
+        with pytest.raises(DomainError):
+            x ** -n
+        return
+    inv = 1 / x
+    same_series(x ** -n, inv ** n)
+    same_series(x ** -n, reduce(lambda acc, _: acc * inv, range(n - 1), inv))
+
+
 def test_add_requires_compatible_prefactor():
     a = q_jet([1, 1], prefactor=1)
     b = q_jet([1, 1], prefactor=2)
@@ -252,6 +298,13 @@ def test_eta_matches_pentagonal_number_theorem():
     assert list(e.coeffs) == eta_mantissa_pentagonal(120)
 
 
+def test_eta_matches_product_definition():
+    for l in (1, 2, 4):
+        e = eta_series(l, 120)
+        assert e.prefactor_num == l
+        assert list(e.coeffs) == eta_mantissa_product(l, 120)
+
+
 def test_theta4_against_brute_force_convolution():
     order = 40
     t = theta_list(order)
@@ -280,6 +333,18 @@ def test_delta_small_coefficients():
 def test_delta_matches_naive_product():
     order = 24
     assert list(builtin_form("delta", order).coeffs) == delta_naive(order)
+
+
+def test_delta_hecke_relations_order_2000():
+    order = 2000
+    tau = builtin_form("delta", order).coeffs
+    assert (len(tau), tau[0], tau[1]) == (order + 1, 0, 1)
+    for m in range(2, order // 2 + 1):
+        for n in range(m + 1, order // m + 1):
+            if math.gcd(m, n) == 1:
+                assert tau[m * n] == tau[m] * tau[n], (m, n)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+        assert tau[p * p] == tau[p] ** 2 - p ** 11, p
 
 
 def test_delta_equals_eta_power_24():

@@ -7,9 +7,10 @@ object is constructed, so a long-running process sees a stable snapshot.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 
@@ -71,7 +72,5 @@ class NumericsConfig:
             raise DomainError("cutoff must be >= 1")
 
     def replace(self, **kwargs) -> "NumericsConfig":
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(kwargs)
-        return NumericsConfig(**current)
+        return dataclasses.replace(self, **kwargs)
 

@@ -9,9 +9,9 @@ Two directions, mirror images of each other:
     the L-series its meromorphic continuation.
 
 Coefficients stay exact (Fractions, Gamma shifts, linear factors s + c)
-until a numeric evaluation is requested.  The binomial transforms that power
-the two theorems are exposed separately; composing them is the identity,
-which is the structural reason a round trip thS o thI collapses.
+until a numeric evaluation is requested.  Both theorems run on a pair of
+binomial families, _chained_family and _alternating_family, whose transforms
+are mutually inverse: the structural reason a round trip thS o thI collapses.
 
 Exponent convention: the first slot carries the symbolic variable s (as
 SPlus(offset) = s + offset); every other slot is a positive integer.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -33,12 +33,9 @@ __all__ = [
     "LTarget",
     "ITarget",
     "Term",
-    "TermList",
     "enumerate_indices",
     "thI_expand",
     "thS_expand",
-    "binom_transform_fwd",
-    "binom_transform_inv",
 ]
 
 
@@ -108,29 +105,10 @@ class Coeff:
     lin_den: tuple = ()
     a0_idx: tuple = ()
 
-    def __mul__(self, other: "Coeff") -> "Coeff":
-        return Coeff(
-            self.rat * other.rat,
-            self.gamma_num + other.gamma_num,
-            self.gamma_den + other.gamma_den,
-            self.lin_num + other.lin_num,
-            self.lin_den + other.lin_den,
-            tuple(sorted(self.a0_idx + other.a0_idx)),
-        )
-
     def scaled(self, r) -> "Coeff":
         return Coeff(
             self.rat * _as_frac(r),
             self.gamma_num, self.gamma_den, self.lin_num, self.lin_den, self.a0_idx,
-        )
-
-    def shifted(self, c: int) -> "Coeff":
-        """Substitute s -> s + c."""
-        sh = lambda t: tuple(x + c for x in t)
-        return Coeff(
-            self.rat,
-            sh(self.gamma_num), sh(self.gamma_den),
-            sh(self.lin_num), sh(self.lin_den), self.a0_idx,
         )
 
     def evaluate(self, s0: complex, a0_values=()) -> complex:
@@ -153,70 +131,8 @@ class Coeff:
             val *= complex(a0_values[i])
         return val
 
-    def as_ratfunc(self):
-        """Canonical (numerator, denominator, gamma_power) with polynomials in
-        s; Gamma(s+g) = Gamma(s) (s)(s+1)..(s+g-1) for integer g >= 0."""
-        num, den, gpow = (Fraction(self.rat),), (Fraction(1),), 0
-        for g in self.gamma_num:
-            if g < 0:
-                raise DomainError("negative Gamma shift has no polynomial form")
-            gpow += 1
-            for i in range(g):
-                num = _poly_mul(num, (Fraction(i), Fraction(1)))
-        for g in self.gamma_den:
-            if g < 0:
-                raise DomainError("negative Gamma shift has no polynomial form")
-            gpow -= 1
-            for i in range(g):
-                den = _poly_mul(den, (Fraction(i), Fraction(1)))
-        for c in self.lin_num:
-            num = _poly_mul(num, (_as_frac(c), Fraction(1)))
-        for c in self.lin_den:
-            den = _poly_mul(den, (_as_frac(c), Fraction(1)))
-        return num, den, gpow
 
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _poly_trim(a):
-    i = len(a)
-    while i > 1 and not a[i - 1]:
-        i -= 1
-    return tuple(a[:i])
-
-
-def ratfunc_add(r1, r2):
-    n1, d1 = r1
-    n2, d2 = r2
-    return _poly_trim(_poly_add(_poly_mul(n1, d2), _poly_mul(n2, d1))), _poly_mul(d1, d2)
-
-
-def ratfunc_equal(r1, r2) -> bool:
-    """Cross-multiplied exact equality; no factorization needed."""
-    n1, d1 = r1
-    n2, d2 = r2
-    return _poly_trim(_poly_mul(n1, d2)) == _poly_trim(_poly_mul(n2, d1))
-
-
-RATFUNC_ZERO = ((Fraction(0),), (Fraction(1),))
-RATFUNC_ONE = ((Fraction(1),), (Fraction(1),))
-
-
-# --- targets and term lists --------------------------------------------------
+# --- targets and terms -------------------------------------------------------
 
 @dataclass(frozen=True)
 class LTarget:
@@ -239,40 +155,6 @@ class ITarget:
 class Term:
     coeff: Coeff
     target: object
-
-
-@dataclass(frozen=True)
-class TermList:
-    terms: tuple
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def shifted(self, c: int) -> "TermList":
-        """Substitute s -> s + c throughout (coefficients and arguments)."""
-
-        def shift_args(args):
-            return tuple(a + c if isinstance(a, SPlus) else a for a in args)
-
-        out = []
-        for t in self.terms:
-            tgt = type(t.target)(t.target.indices, shift_args(t.target.args))
-            out.append(Term(t.coeff.shifted(c), tgt))
-        return TermList(tuple(out))
-
-    def collected(self):
-        """Exact rational function of s for each (target, a0 multiset,
-        net Gamma(s) power) bucket."""
-        buckets = {}
-        for t in self.terms:
-            num, den, gpow = t.coeff.as_ratfunc()
-            key = (t.target, t.coeff.a0_idx, gpow)
-            cur = buckets.get(key, RATFUNC_ZERO)
-            buckets[key] = ratfunc_add(cur, (num, den))
-        return buckets
 
 
 # --- shared enumeration helpers ----------------------------------------------
@@ -359,8 +241,8 @@ def _word_exponents(n: int, alphas) -> list:
 
 # --- the L-from-I expansion ----------------------------------------------------
 
-def thI_expand(forms, alphas) -> TermList:
-    """I(f_1..f_n; s, a_2..a_n) as a TermList of LTargets.
+def thI_expand(forms, alphas) -> tuple:
+    """I(f_1..f_n; s, a_2..a_n) as a tuple of Terms with LTargets.
 
     Each nonempty subset D of slots keeps its cuspidal part; the rest
     contribute their constant terms (terms with A = 0 are dropped).  Trailing
@@ -400,7 +282,7 @@ def thI_expand(forms, alphas) -> TermList:
                     LTarget(D, tuple(args)),
                 )
             )
-    return TermList(tuple(terms))
+    return tuple(terms)
 
 
 # --- the I-from-L expansion (continuation) -------------------------------------
@@ -435,9 +317,10 @@ def _by_parts(word, coeff, out):
     _by_parts(right, coeff.scaled(Fraction(-1, e)), out)
 
 
-def thS_expand(forms, alphas) -> TermList:
-    """L(f_1..f_n; s, a_2..a_n) as a TermList of ITargets with coefficients
-    rational in s: the meromorphic continuation of the multiple L-series.
+def thS_expand(forms, alphas) -> tuple:
+    """L(f_1..f_n; s, a_2..a_n) as a tuple of Terms with ITargets and
+    coefficients rational in s: the meromorphic continuation of the multiple
+    L-series.
 
     The index sums here use the independent bounds 0 <= j_k < a_k with
     alternating binomials; constant-term subsets and by-parts elimination of
@@ -472,27 +355,4 @@ def thS_expand(forms, alphas) -> TermList:
         indices = tuple(i for i, _ in word)
         args = tuple(e for _, e in word)
         terms.append(Term(c, ITarget(indices, args)))
-    return TermList(tuple(terms))
-
-
-# --- binomial transform pair ---------------------------------------------------
-
-def _binom_transform(data: dict, family) -> dict:
-    out = {}
-    for (zpow, alphas), c in data.items():
-        for J, w, new in family(alphas):
-            key = (zpow + (J[0] if J else 0), new)
-            out[key] = out.get(key, Fraction(0)) + c * w
-    return {k: v for k, v in out.items() if v}
-
-
-def binom_transform_fwd(data: dict) -> dict:
-    """Forward family: coefficients prod C(a_k + j_{k+1} - 1, j_k) z^{j_2},
-    chained bounds.  data maps (zpow, alphas) -> Fraction."""
-    return _binom_transform(data, _chained_family)
-
-
-def binom_transform_inv(data: dict) -> dict:
-    """Inverse family: coefficients prod (-1)^{j_k} C(a_k - 1, j_k) z^{j_2},
-    independent bounds 0 <= j_k < a_k."""
-    return _binom_transform(data, _alternating_family)
+    return tuple(terms)

@@ -67,10 +67,6 @@ class IterSpec:
                     f"form {ks.form.label!r} has level {ks.form.level}, spec has {self.level}"
                 )
 
-    @property
-    def exponents(self):
-        return tuple(ks.s for ks in self.kernels)
-
 
 def make_spec(entries, level: int | None = None) -> IterSpec:
     """entries: iterable of (form-or-None-or-1, s).  The level is inherited
@@ -234,6 +230,11 @@ def _is_zero(ks: KernelSpec) -> bool:
     return ks.form is not None and not any(ks.form.coeffs)
 
 
+def _has_cusp(ks: KernelSpec) -> bool:
+    """True when the slot's cuspidal part is not identically zero."""
+    return ks.form is not None and any(ks.form.coeffs[1:])
+
+
 def _eval_piece(side: _Side, p: int, divisors):
     """I_{i-inf}^b for the piece side.seq[:p] via the constant-term
     decomposition.
@@ -269,18 +270,13 @@ def _eval_piece(side: _Side, p: int, divisors):
         total += complex(A) * closed * _trailing_fold(s, names, p, divisors)
     for last in range(p):
         trailing = math.prod(a0[last + 1 :])
-        if not ks_has_cusp(kernels[last]) or trailing == 0:
+        if not _has_cusp(kernels[last]) or trailing == 0:
             continue
         coeff = complex(trailing) * _trailing_fold(s, names, p - 1 - last, divisors)
         value, qerr = side.quadrature(p - 1 - last, last)
         total += coeff * value
         err += abs(coeff) * qerr
     return total, err
-
-
-def ks_has_cusp(ks: KernelSpec) -> bool:
-    """True when the slot's cuspidal part is not identically zero."""
-    return ks.form is not None and any(ks.form.coeffs[1:])
 
 
 @dataclass(frozen=True)

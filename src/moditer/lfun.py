@@ -8,7 +8,8 @@ L_direct sums the series by shells of constant total index T = m_1+..+m_n,
 ascending in T.  The shells come from iterint._shells, whose T = t shell is
 also the q^t coefficient of the shifted integral I-tilde.  L_continued
 evaluates the same function anywhere by expanding it into iterated integrals
-of the forms themselves; evaluate_L_terms and evaluate_I_terms sum a TermList.
+of the forms themselves; evaluate_L_terms and evaluate_I_terms sum the Terms
+of an expansion.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ def L_direct(spec: LSpec, config: NumericsConfig | None = None, force: bool = Fa
 
 
 def _evaluate_terms(tl, word_forms, s0: complex, value) -> complex:
-    """Sum of coefficient * target over a TermList at s = s0.  value(subword,
-    args) gives a target's number; it runs once per distinct (indices, args)."""
+    """Sum of coefficient * target over Terms at s = s0.  value(subword, args)
+    gives a target's number; it runs once per distinct (indices, args)."""
     a0s = [complex(f.a0) for f in word_forms]
     cache = {}
     total = 0j
@@ -118,7 +119,7 @@ def _evaluate_terms(tl, word_forms, s0: complex, value) -> complex:
 
 
 def evaluate_L_terms(tl, word_forms, s0: complex, config=None, force: bool = False) -> complex:
-    """Numeric value of a TermList whose targets are multiple L-values."""
+    """Numeric value of Terms whose targets are multiple L-values."""
     cfg = config if config is not None else NumericsConfig()
     return _evaluate_terms(
         tl, word_forms, s0,
@@ -127,7 +128,7 @@ def evaluate_L_terms(tl, word_forms, s0: complex, config=None, force: bool = Fal
 
 
 def evaluate_I_terms(tl, word_forms, s0: complex, config=None) -> complex:
-    """Numeric value of a TermList whose targets are iterated integrals."""
+    """Numeric value of Terms whose targets are iterated integrals."""
     cfg = config if config is not None else NumericsConfig()
     return _evaluate_terms(
         tl, word_forms, s0,

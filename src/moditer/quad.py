@@ -34,7 +34,7 @@ __all__ = [
 GL_ORDER = 16  # Gauss-Legendre nodes per panel; adaptive_iterated checks at GL_ORDER + 8
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def gauss_legendre(g: int):
     """Nodes and weights on [-1, 1], cached and read-only."""
     x, w = np.polynomial.legendre.leggauss(g)
@@ -43,7 +43,7 @@ def gauss_legendre(g: int):
     return x, w
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def _cumulative_operator(g: int):
     """Matrix U with (U h)[i] = integral from -1 to x_i of the degree<g
     interpolant of the node values h, via the Legendre antiderivative
@@ -67,9 +67,10 @@ def segment_panels(a: complex, b: complex, n_panels: int):
     return list(zip(pts[:-1], pts[1:]))
 
 
-def geometric_panels(a: complex, b: complex, n_panels: int, ratio: float = 0.5):
-    """Panels from a to b clustering geometrically toward a."""
-    ts = [0.0] + [ratio ** (n_panels - 1 - j) for j in range(n_panels)]
+def geometric_panels(a: complex, b: complex, n_panels: int):
+    """Panels from a to b clustering geometrically toward a: the breakpoints
+    are a and a + (b - a) / 2^j for j = n_panels - 1, ..., 0."""
+    ts = [0.0] + [0.5 ** (n_panels - 1 - j) for j in range(n_panels)]
     pts = [a + (b - a) * t for t in ts]
     return list(zip(pts[:-1], pts[1:]))
 

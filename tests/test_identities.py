@@ -2,10 +2,13 @@
 
 Everything here is rational arithmetic: coefficients, binomial transforms,
 and the round trip between the two expansion directions must hold exactly,
-not just numerically.
+not just numerically.  An identity between coefficients is checked in exact
+rationals at the points POINTS; the degree bound of assert_vanishes makes
+that finite check a proof.
 """
 
 import math
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -13,15 +16,68 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+import moditer
 from moditer import forms, identities as idn
 from moditer.errors import DomainError, PoleError
 
 F1 = Fraction(1)
+POINTS = [k + Fraction(1, 3) for k in range(40)]
 
 
 def coeff_key(t):
     c = t.coeff
     return (c.rat, c.gamma_num, c.gamma_den, c.lin_num, c.lin_den, c.a0_idx, t.target)
+
+
+def prod(xs):
+    return math.prod(xs, start=F1)
+
+
+def reduced(c, shift=0):
+    """c(s + shift) = Gamma(s)^gpow * r(s) by Gamma(s + g) = Gamma(s) (s)_g.
+    Returns gpow, a bound on deg(numerator) + deg(denominator) of the
+    rational function r, and r's exact values at POINTS."""
+    up = [g + shift for g in c.gamma_num]
+    down = [g + shift for g in c.gamma_den]
+    assert min(up + down, default=0) >= 0
+    rising = lambda s, gs: prod(s + i for g in gs for i in range(g))
+    linear = lambda s, cs: prod(s + x + shift for x in cs)
+    values = [
+        c.rat * rising(s, up) * linear(s, c.lin_num) / (rising(s, down) * linear(s, c.lin_den))
+        for s in POINTS
+    ]
+    return len(up) - len(down), sum(up) + sum(down) + len(c.lin_num) + len(c.lin_den), values
+
+
+def assert_vanishes(products):
+    """products: (target, a0_idx, factors), the coefficient being the product
+    of c(s + shift) over factors = [(c, shift), ...].  Each (target, a0_idx,
+    gpow) bucket sums to Gamma(s)^gpow times a rational function whose
+    numerator has degree at most the summed degree of its terms, and none of
+    whose denominators vanishes at POINTS; so a bucket that vanishes at more
+    POINTS than that degree vanishes identically."""
+    buckets = {}
+    for target, a0_idx, factors in products:
+        gpow, degree, values = 0, 0, [F1] * len(POINTS)
+        for c, shift in factors:
+            g, d, v = reduced(c, shift)
+            gpow, degree, values = gpow + g, degree + d, [a * b for a, b in zip(values, v)]
+        bucket = buckets.setdefault((target, a0_idx, gpow), [0, [0] * len(POINTS)])
+        bucket[0] += degree
+        bucket[1] = [a + b for a, b in zip(bucket[1], values)]
+    for key, (degree, sums) in buckets.items():
+        assert degree < len(POINTS), key
+        assert not any(sums), key
+
+
+def transform(data, family):
+    """Binomial transform of {(zpow, alphas): Fraction} over one index family."""
+    out = {}
+    for (zpow, alphas), c in data.items():
+        for J, w, new in family(alphas):
+            key = (zpow + (J[0] if J else 0), new)
+            out[key] = out.get(key, 0) + c * w
+    return {k: v for k, v in out.items() if v}
 
 
 def test_splus_arithmetic():
@@ -96,21 +152,19 @@ def test_expand_I_from_L_length_one():
 
 def test_expand_I_from_L_four_collected_terms():
     f = forms.builtin("E4", 8)
-    buckets = idn.thS_expand([f, f], (2,)).collected()
-    nonzero = {
-        k: v for k, v in buckets.items() if not idn.ratfunc_equal(v, idn.RATFUNC_ZERO)
-    }
-    S = idn.SPlus
-    expected = {
-        (idn.ITarget((0, 1), (S(0), 2)), (), -1): ((F1,), (F1,)),
-        (idn.ITarget((0, 1), (S(1), 1)), (), -1): ((Fraction(-1),), (F1,)),
-        (idn.ITarget((0,), (S(2),)), (1,), -1): ((Fraction(1, 2),), (F1,)),
+    S, I = idn.SPlus, idn.ITarget
+    expected = [  # target, a0_idx, rat, lin_den of the Gamma(s)^-1 coefficient
+        (I((0, 1), (S(0), 2)), (), F1, ()),
+        (I((0, 1), (S(1), 1)), (), -F1, ()),
+        (I((0,), (S(2),)), (1,), Fraction(1, 2), ()),
         # 1/s - 1/(s+1) collapses to 1/(s(s+1))
-        (idn.ITarget((1,), (S(2),)), (0,), -1): ((F1,), (Fraction(0), F1, F1)),
-    }
-    assert set(nonzero) == set(expected)
-    for k, v in expected.items():
-        assert idn.ratfunc_equal(nonzero[k], v)
+        (I((1,), (S(2),)), (0,), F1, (0, 1)),
+    ]
+    products = [(t.target, t.coeff.a0_idx, [(t.coeff, 0)]) for t in idn.thS_expand([f, f], (2,))]
+    for target, a0_idx, rat, lin_den in expected:
+        minus = idn.Coeff(-rat, gamma_den=(0,), lin_den=lin_den)
+        products.append((target, a0_idx, [(minus, 0)]))
+    assert_vanishes(products)
 
 
 @pytest.mark.parametrize("alphas", [(), (2,), (3,), (2, 2), (3, 1)])
@@ -120,24 +174,22 @@ def test_round_trip_collapses_to_identity(alphas):
     d = forms.builtin("delta", 4)
     n = len(alphas) + 1
     word = [d] * n
-    composed = []
+    target = idn.ITarget(tuple(range(n)), (idn.SPlus(0),) + tuple(alphas))
+    products = [(target, (), [(idn.Coeff(-F1), 0)])]
     for t in idn.thI_expand(word, alphas):
         assert t.target.indices == tuple(range(n))  # cusp parts only
-        head = t.target.args[0]
-        sub = idn.thS_expand(word, tuple(t.target.args[1:])).shifted(head.off)
-        for u in sub:
-            composed.append(idn.Term(t.coeff * u.coeff, u.target))
-    buckets = idn.TermList(tuple(composed)).collected()
-    target = idn.ITarget(tuple(range(n)), (idn.SPlus(0),) + tuple(alphas))
-    for (tgt, a0_idx, gpow), rf in buckets.items():
-        if tgt == target and a0_idx == () and gpow == 0:
-            assert idn.ratfunc_equal(rf, idn.RATFUNC_ONE)
-        else:
-            assert idn.ratfunc_equal(rf, idn.RATFUNC_ZERO)
-    assert (target, (), 0) in buckets
+        off = t.target.args[0].off
+        for u in idn.thS_expand(word, t.target.args[1:]):
+            args = tuple(a + off if isinstance(a, idn.SPlus) else a for a in u.target.args)
+            a0_idx = tuple(sorted(t.coeff.a0_idx + u.coeff.a0_idx))
+            products.append(
+                (idn.ITarget(u.target.indices, args), a0_idx, [(t.coeff, 0), (u.coeff, off)])
+            )
+    assert_vanishes(products)
 
 
 def test_binomial_transforms_are_mutually_inverse():
+    fwd, inv = idn._chained_family, idn._alternating_family
     rng = random.Random(31)
     for _ in range(20):
         data = {}
@@ -146,8 +198,8 @@ def test_binomial_transforms_are_mutually_inverse():
             key = (rng.randint(0, 3), alphas)
             data[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
         data = {k: v for k, v in data.items() if v}
-        assert idn.binom_transform_inv(idn.binom_transform_fwd(data)) == data
-        assert idn.binom_transform_fwd(idn.binom_transform_inv(data)) == data
+        assert transform(transform(data, fwd), inv) == data
+        assert transform(transform(data, inv), fwd) == data
 
 
 def test_gamma_factor_identity_exact():
@@ -181,27 +233,6 @@ def test_gamma_factor_identity_exact():
         for k in range(1, m):
             rhs *= math.comb(u[k - 1] + J[k] - 1, J[k])
         assert lhs == rhs
-
-
-def test_termlist_shift_substitutes_everywhere():
-    f = forms.builtin("E4", 8)
-    tl = idn.thI_expand([f, f], (2,)).shifted(3)
-    for t in tl:
-        assert t.target.args[0].off >= 3
-        assert all(g >= 3 for g in t.coeff.gamma_num)
-    plain = {t.target for t in idn.thI_expand([f, f], (2,))}
-    assert idn.LTarget((0, 1), (idn.SPlus(3), 2)) in {t.target for t in tl}
-    assert idn.LTarget((0, 1), (idn.SPlus(0), 2)) in plain
-
-
-def test_ratfunc_helpers():
-    one_over_s = ((F1,), (Fraction(0), F1))
-    one_over_s1 = ((F1,), (F1, F1))
-    tot = idn.ratfunc_add(one_over_s, one_over_s1)
-    # 1/s + 1/(s+1) = (2s+1) / (s^2+s)
-    assert idn.ratfunc_equal(tot, ((F1, Fraction(2)), (Fraction(0), F1, F1)))
-    assert not idn.ratfunc_equal(tot, one_over_s)
-    assert idn.ratfunc_equal(idn.RATFUNC_ZERO, ((Fraction(0),), (Fraction(5),)))
 
 
 def test_rgamma_matches_scipy():
@@ -241,18 +272,24 @@ def test_coeff_evaluate_matches_ratfunc():
                 lin_num=tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 2))),
                 lin_den=tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 2))),
             )
-            num, den, gpow = c.as_ratfunc()
             direct = complex(c.evaluate(s0))
-            horner = lambda p: sum(float(a) * s0**i for i, a in enumerate(p))
-            via = sp.gamma(s0) ** gpow * horner(num) / horner(den)
+            via = (
+                float(c.rat)
+                * math.prod(sp.gamma(s0 + g) for g in c.gamma_num)
+                / math.prod(sp.gamma(s0 + g) for g in c.gamma_den)
+                * math.prod(s0 + x for x in c.lin_num)
+                / math.prod(s0 + x for x in c.lin_den)
+            )
             assert abs(direct - via) <= 1e-12 * abs(via), (s0, c)
 
 
 def test_coeff_constant_term_positions():
     c = idn.Coeff(rat=Fraction(1), a0_idx=(0, 1, 1))
     assert c.evaluate(2.0, (2.0, 3.0)) == pytest.approx(18.0)
-    shifted = idn.Coeff(rat=F1, gamma_num=(1,), lin_den=(0,)).shifted(2)
-    assert shifted.gamma_num == (3,) and shifted.lin_den == (2,)
-    # shifting the coefficient is substitution s -> s + c
-    base = idn.Coeff(rat=Fraction(3, 2), gamma_num=(1,), lin_den=(0,))
-    assert base.shifted(2).evaluate(1.3) == pytest.approx(base.evaluate(3.3))
+
+
+def test_all_names_resolve():
+    # `from m import *` raises on an __all__ entry that m no longer defines
+    names = ["moditer"] + [f"moditer.{m.name}" for m in pkgutil.iter_modules(moditer.__path__)]
+    for name in names:
+        exec(f"from {name} import *", {})

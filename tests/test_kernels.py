@@ -151,6 +151,14 @@ def test_every_level_is_its_prefix_bit_for_bit():
                 assert _bits(value) == _bits(alone[-1])
 
 
+def test_quadrature_caches_are_bounded():
+    panels = quad.segment_panels(0j, 1j, 4)
+    for g in range(2, 8):
+        quad.iterated_integral([np.ones_like], panels, g)
+    assert quad.gauss_legendre.cache_info().currsize <= 4
+    assert quad._cumulative_operator.cache_info().currsize <= 4
+
+
 @pytest.mark.parametrize("tol", [1e-17, 1e-19])
 def test_adaptive_serves_each_level_as_its_own_call(tol):
     # at 4 panels the levels resolve after different numbers of doublings,

@@ -6,7 +6,10 @@ L(f_1..f_n; s_1..s_n) = (-2 pi i)^{-(s_1+..+s_n)} *
 
 L_direct sums the series by shells of constant total index T = m_1+..+m_n,
 ascending in T.  The shells come from iterint._shells, whose T = t shell is
-also the q^t coefficient of the shifted integral I-tilde.  L_continued
+also the q^t coefficient of the shifted integral I-tilde; its convolution
+cascade convolves real parts only where both operands are real, so a word of
+real forms with real inner exponents convolves in real arithmetic only.
+L_continued
 evaluates the same function anywhere by expanding it into iterated integrals
 of the forms themselves; evaluate_L_terms and evaluate_I_terms sum the Terms
 of an expansion.

@@ -3,6 +3,7 @@ i/sqrt(N), and the Fourier evaluator for the shifted integrals."""
 
 import cmath
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -342,28 +343,107 @@ def test_spec_validation(delta2100):
 
 # --- shifted integrals via Fourier series -----------------------------------
 
-def test_shells_brute_force():
-    # depth 3, a complex exponent, and a middle form shorter than the cutoff
-    cutoff = 40
-    word = [forms.builtin("delta", 60), forms.builtin("E4", 15), forms.builtin("E6", 60)]
-    exps = (2.5 + 0.7j, 1, 3)
+def _brute_shells_check(word, exps, cutoff):
+    """_shells against the term-by-term sum over m_1+..+m_n = T, each shell
+    within 1e-13 of the sum of its terms' magnitudes."""
     got = iterint._shells(word, exps, cutoff)
     assert got.shape == (cutoff + 1,) and got[0] == 0
 
     def a(f, m):
         return complex(f.coeffs[m]) if m <= f.order else 0.0
 
+    n = len(word)
     for T in range(1, cutoff + 1):
         want, scale = 0j, 0.0
-        for m1 in range(1, T - 1):
-            for m2 in range(1, T - m1):
-                m3 = T - m1 - m2
-                term = (a(word[0], m1) * a(word[1], m2) * a(word[2], m3)
-                        / (T ** exps[0] * (m2 + m3) ** exps[1] * m3 ** exps[2]))
-                want += term
-                scale += abs(term)
+        for cuts in itertools.combinations(range(1, T), n - 1):
+            ms = [hi - lo for lo, hi in zip((0,) + cuts, cuts + (T,))]
+            term = 1 + 0j
+            for i, (f, e) in enumerate(zip(word, exps)):
+                term *= a(f, ms[i]) / sum(ms[i:]) ** e
+            want += term
+            scale += abs(term)
         assert abs(got[T] - want) <= 1e-13 * scale, T
 
+
+def test_shells_brute_force():
+    # depth 3, a complex exponent, and a middle form shorter than the cutoff
+    word = [forms.builtin("delta", 60), forms.builtin("E4", 15), forms.builtin("E6", 60)]
+    _brute_shells_check(word, (2.5 + 0.7j, 1, 3), 40)
+
+
+def _twisted(f, theta, label):
+    """f(z + theta / 2 pi): coefficients a_m e^{i m theta}, complex for generic theta."""
+    return forms.ModularForm(level=f.level, weight=f.weight, label=label,
+                             coeffs=tuple(complex(c) * cmath.exp(1j * m * theta)
+                                          for m, c in enumerate(f.coeffs)))
+
+
+@pytest.mark.parametrize("case", ["complex inner exponent", "complex innermost and outer form",
+                                  "complex outer form", "complex innermost form",
+                                  "imaginary form"])
+def test_shells_brute_force_complex_parts(case):
+    # complex parts on either side send a step to the complex convolve
+    d, e4, e6 = forms.builtin("delta", 50), forms.builtin("E4", 50), forms.builtin("E6", 50)
+    cd, ce4 = _twisted(d, 0.7, "delta~0.7"), _twisted(e4, -1.3, "E4~-1.3")
+    imag = forms.ModularForm(level=1, weight=6, label="iE6",
+                             coeffs=tuple(1j * c for c in e6.coeffs))
+    word, exps = {
+        "complex inner exponent": ([d, e4, e6], (3, 1.5 - 0.4j, 2 + 0.3j)),
+        "complex innermost and outer form": ([cd, e4, ce4], (3, 1, 2)),
+        "complex outer form": ([cd, d], (3, 2.5)),
+        "complex innermost form": ([e6, ce4], (2, 1.5)),
+        "imaginary form": ([imag, cd, imag], (2.5, 1, 2 - 0.5j)),
+    }[case]
+    _brute_shells_check(word, exps, 30)
+
+
+def test_shells_real_word_convolves_real_arrays(monkeypatch):
+    # a real word with real inner exponents stays in real arithmetic: the
+    # cascade's whole gain over a complex convolution
+    dtypes = []
+
+    def recording(a, b):
+        dtypes.append((a.dtype, b.dtype))
+        return np.convolve(a, b)
+
+    monkeypatch.setattr(iterint, "conv_complex", recording)
+    word = [forms.builtin("delta", 100), forms.builtin("E4", 100), forms.builtin("E6", 100)]
+    got = iterint._shells(word, (9.5 + 0.5j, 2, 3.0), 100)
+    assert np.all(np.isfinite(got))
+    assert dtypes == [(np.dtype(float), np.dtype(float))] * 2
+
+
+def _parent_cascade(word, exps, cutoff, magnitudes=False):
+    """Reference cascade, complex arithmetic throughout: np.convolve on complex
+    arrays, cut to cutoff+1.  With magnitudes, the same cascade over |a_m| and
+    |T^-e| gives the sum of |term| per shell."""
+    log_t = np.log(np.arange(1, cutoff + 1, dtype=float))
+    acc = None
+    for f, e in zip(reversed(word), reversed(exps)):
+        coeffs = np.zeros(cutoff + 1, dtype=complex)
+        upto = min(cutoff, len(f.coeffs) - 1)
+        coeffs[1 : upto + 1] = f._np_coeffs[1 : upto + 1]
+        e = complex(e)
+        if magnitudes:
+            coeffs, e = np.abs(coeffs).astype(complex), complex(e.real)
+        acc = coeffs if acc is None else np.convolve(coeffs, acc)[: cutoff + 1]
+        acc[1:] *= np.exp(-e * log_t)
+    return acc
+
+
+@pytest.mark.parametrize("names, exps", [
+    (("delta", "delta"), (14.0, 3.0)),
+    (("E4", "delta", "E6"), (16.5 + 0.5j, 2.0, 4.0)),
+    (("G", "F"), (3.5, 1.5)),
+])
+def test_shells_match_parent_cascade(names, exps):
+    cutoff = 2000
+    word = [forms.builtin(n, cutoff) for n in names]
+    got = iterint._shells(word, exps, cutoff)
+    want = _parent_cascade(word, exps, cutoff)
+    scale = _parent_cascade(word, exps, cutoff, magnitudes=True).real
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= 4 * eps * scale)
 
 
 def test_tilde_fourier_depth1_analytic(delta2100):

@@ -1,7 +1,9 @@
 """The two numerical kernels: batched Horner evaluation of q-expansions
 (forms.horner_many, stopped at the batch's last significant term) and the
 coefficient convolution of the Dirichlet cascades (np.convolve, imported as
-conv_complex by lfun and iterint).
+conv_complex by lfun and iterint).  The cascade in iterint._shells hands it
+the real parts of its operands as real arrays when both are real, and the
+complex arrays otherwise.
 """
 
 import gc

@@ -77,6 +77,15 @@ def test_continuation_matches_direct_sum(delta2100):
     assert abs(got - want) / abs(want) < 1e-10
 
 
+def test_continuation_internal_constant_slot(delta2100, e4_2000):
+    # the E4 slot in the middle leaves an internal constant slot in the
+    # expansion, whose two by-parts merges carry opposite signs
+    word = [delta2100, e4_2000, delta2100]
+    got = lfun.L_continued(word, 17.0, (1, 2), CFG)
+    want = lfun.L_direct(lfun.LSpec(tuple(word), (17.0, 1.0, 2.0)), CFG).value
+    assert abs(got - want) / abs(want) < 1e-10
+
+
 def test_continuation_below_threshold(delta2100):
     # At s = 2 the shell sum diverges; the continued value must agree with
     # the functional-equation image, a plainly convergent classical series.

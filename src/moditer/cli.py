@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -152,7 +153,12 @@ def _add_common(p: _Parser) -> None:
     )
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every later
+    call in the process.  parse_args leaves it as it found it: each call
+    gets a fresh namespace, and the append action copies the --form
+    default before it adds a path, so no call sees another's files."""
     p = _Parser(prog="moditer", description="modular iterated integrals and multiple L-functions")
     sub = p.add_subparsers(dest="subcommand")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -92,6 +92,7 @@ def from_qseries(qs: qseries.QSeries, level: int, weight: int, label: str) -> Mo
     return ModularForm(level, weight, label, tuple(coeffs))
 
 
+@lru_cache(maxsize=32)
 def builtin(name: str, order: int) -> ModularForm:
     """Built-in form with its Fricke companion attached.
 
@@ -99,6 +100,12 @@ def builtin(name: str, order: int) -> ModularForm:
     from theta(-1/(4z)) = sqrt(-2iz) theta(z): G-tilde = -G and
     F-tilde = F - G/16; level-1 forms are self-companion (weight even),
     except E2, which is only quasimodular and gets none.
+
+    Built once per (name, order) and shared: the form is frozen and its
+    companion is wired here.  The memo keeps the 32 most recently used
+    keys, a fixed bound with room for several orders of every form (the
+    README's CLI commands use 7 keys).  An unknown name raises on every
+    call, since errors are not cached.
     """
     if name in ("G", "theta4"):
         g = from_qseries(qseries.builtin_form("G", order), 4, 2, "G")
@@ -163,9 +170,12 @@ _CUT_LOG = 46.0
 def _significant_cut(coeffs: np.ndarray, log_r: float) -> int:
     """Last index J with log|a_J| + J log r >= max_j(log|a_j| + j log r) - 46.
 
-    An all-zero array keeps every index (top = -inf), which is harmless."""
-    with np.errstate(divide="ignore"):  # a zero coefficient gets -inf
-        logs = np.log(np.abs(coeffs)) + log_r * np.arange(len(coeffs))
+    Runs under evaluate_series's errstate: a zero coefficient gets -inf, and
+    so does j log r where it overflows.  j = 0 adds nothing, even at
+    log r = -inf.  An all-zero array keeps every index (top = -inf), which
+    is harmless."""
+    logs = np.log(np.abs(coeffs))
+    logs[1:] += log_r * np.arange(1, len(coeffs))
     top = logs.max()
     if np.isnan(top):  # a NaN point or coefficient: leave it to Horner
         return len(coeffs) - 1
@@ -197,10 +207,13 @@ def evaluate_series(coeffs, zs) -> np.ndarray:
     the batch's last significant term."""
     coeffs = np.asarray(coeffs, dtype=complex)
     zs = np.asarray(zs, dtype=complex)
-    # log r = log max|q|, finite even where q underflows to 0
-    log_r = -2 * np.pi * zs.imag.min() if zs.size else 0.0
-    return horner_many(coeffs[: _significant_cut(coeffs, log_r) + 1],
-                       np.exp(2j * np.pi * zs))
+    # log r = log max|q|.  Where 2 pi Im z overflows, log r is -inf and q is
+    # 0, the exact limit; log|0| = -inf marks a zero coefficient.
+    with np.errstate(divide="ignore", over="ignore"):
+        log_r = -2 * np.pi * zs.imag.min() if zs.size else 0.0
+        cut = _significant_cut(coeffs, log_r)
+        qs = np.exp(2j * np.pi * zs)
+    return horner_many(coeffs[: cut + 1], qs)
 
 
 def evaluate_many(f: ModularForm, zs: np.ndarray) -> np.ndarray:

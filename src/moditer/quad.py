@@ -149,14 +149,18 @@ def adaptive_iterated(kernels, panel_builder, config) -> list:
         coarse = iterated_integral(word, panels, GL_ORDER)
         fine = iterated_integral(word, panels, GL_ORDER + 8)
         for j in open_levels:
-            gaps[j] = abs(fine[j] - coarse[j])
-            if gaps[j] <= config.tol:
+            try:
+                gaps[j] = abs(fine[j] - coarse[j])
+            except OverflowError:  # |gap| beyond the float range
+                gaps[j] = math.inf
+            if gaps[j] <= config.tol:  # a NaN gap fails this too
                 out[j] = (fine[j], gaps[j])
         n *= 2
     for j, r in enumerate(out):
         if r is None:
+            gap = gaps[j] if gaps[j] <= math.inf else math.inf  # NaN counts as infinite
             out[j] = AccuracyError(
-                f"quadrature stalled at {n // 2} panels with error estimate {gaps[j]:.3e} "
+                f"quadrature stalled at {n // 2} panels with error estimate {gap:.3e} "
                 f"(tolerance {config.tol:.1e})"
             )
     return out

@@ -5,13 +5,15 @@ mathematical content is covered by the library test modules.
 
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import moditer
-from moditer import cli, forms, iterint
+from moditer import cli, forms, iterint, mzv
 from moditer.errors import DomainError
 
 ZETA3 = 1.2020569031595942854
@@ -105,6 +107,28 @@ def test_exit_codes(capsys):
     code, out, err = run_cli(capsys, "eval", "F", "--z", "0.3+0.02j", "--tol", "1e-10")
     assert (code, out) == (1, "")
     assert err.startswith("error: tail bound ") and "exceeds tolerance 1.0e-10" in err
+
+
+def test_eval_far_up_the_imaginary_axis(capsys):
+    # 2 pi Im z overflows: q is 0, so each form is its constant term, and
+    # filterwarnings = error turns any numpy RuntimeWarning into a failure
+    for z in ("1e307j", "1e308j"):
+        for name, want in (("delta", [0.0, 0.0]), ("E4", [1.0, 0.0])):
+            code, rep = run_json(capsys, "eval", name, f"--z={z}")
+            assert code == 0
+            (v,) = rep["values"]
+            assert (v["value"], v["err"]) == (want, 0.0), (name, z)
+
+
+def test_iterint_overflowing_height_exits_one():
+    # z^7 overflows on the path: the gap is not finite, so the level stalls
+    # with the named quadrature error rather than a bare OverflowError
+    cmd = [sys.executable, "-m", "moditer.cli", "iterint", "delta", "--s", "8",
+           "--height", "1e300"]
+    got = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
+    assert (got.returncode, got.stdout) == (1, "")
+    assert "error: quadrature stalled at 512 panels with error estimate inf" in got.stderr
+    assert "Traceback" not in got.stderr
 
 
 def test_negative_value_after_option(capsys):
@@ -254,3 +278,50 @@ def test_verify_suite_library_surface(suite):
 def test_verify_suite_unknown_name():
     with pytest.raises(DomainError):
         cli.verify_suite("nope")
+
+
+# --- one parser and one form memo per process -----------------------------------
+
+def _readme_commands():
+    """The argument lists of the README's CLI examples, comments dropped."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = (line.split("#", 1)[0].strip() for line in section.splitlines())
+    return [shlex.split(line)[1:] for line in lines if line.startswith("moditer ")]
+
+
+def test_readme_commands_same_bytes_cold_and_warm(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        for cache in (forms.builtin, cli._build_parser, mzv._level4_pair):
+            cache.cache_clear()
+        cold = run_cli(capsys, *argv)
+        warm = run_cli(capsys, *argv)
+        assert cold[0] == 0, argv
+        assert cold[:2] == warm[:2], argv
+
+
+def test_shared_parser_keeps_no_form_file(capsys, tmp_path):
+    path = tmp_path / "mine.json"
+    forms.save_form(forms.ModularForm(1, 4, "mine", (1, 240, 2160)), path)
+    code, rep = run_json(capsys, "qexp", "mine", "--form", str(path), "--order", "2")
+    assert (code, rep["data"]["coeffs"]) == (0, [1, 240, 2160])
+    code, out, err = run_cli(capsys, "qexp", "mine", "--order", "2")
+    assert (code, out) == (1, "")
+    assert "unknown form 'mine'" in err
+
+
+@pytest.mark.parametrize("bad", [
+    ("lvalue", "delta", "--s", "abc"),
+    ("lvalue", "delta", "--s", "8", "--order", "abc"),
+    ("eval", "delta"),
+    ("qexp",),
+    ("qexp", "F", "--output", "xml"),
+])
+def test_shared_parser_after_a_failed_call(capsys, bad):
+    good = ("lvalue", "delta", "--s", "8", "--cutoff", "300")
+    cli._build_parser.cache_clear()
+    fresh = run_cli(capsys, *good)
+    assert run_cli(capsys, *bad)[:2] == (1, "")
+    assert run_cli(capsys, *good)[:2] == fresh[:2]

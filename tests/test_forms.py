@@ -1,8 +1,10 @@
 """Modular form container, evaluation policy, and the Fricke involution."""
 
 import cmath
+import gc
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +36,31 @@ def test_builtin_fields():
     assert G.coeffs[:4] == (1, 8, 24, 32)
     assert F.is_cuspidal and d.is_cuspidal and not G.is_cuspidal
     assert F.chi == "trivial"
+
+
+def test_builtin_memo_returns_the_same_form():
+    for name in ("delta", "E4", "F", "G"):
+        f = forms.builtin(name, 40)
+        assert forms.builtin(name, 40) is f
+        assert forms.builtin(name, 40).fricke is f.fricke
+
+
+def test_builtin_memo_is_bounded():
+    maxsize = forms.builtin.cache_info().maxsize
+    first = weakref.ref(forms.builtin("E6", 3))
+    for order in range(4, 5 + maxsize):
+        forms.builtin("E6", order)
+    assert forms.builtin.cache_info().currsize <= maxsize
+    gc.collect()  # E6 is its own companion: a reference cycle
+    assert first() is None
+
+
+def test_builtin_unknown_name_raises_every_call():
+    before = forms.builtin.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(DomainError, match="unknown built-in"):
+            forms.builtin("H", 10)
+    assert forms.builtin.cache_info().currsize == before
 
 
 def test_theta_transformation_oracle():

@@ -273,8 +273,9 @@ def test_mzv_pullback_and_shuffle_word_bits_pinned():
 
 def test_report_keeps_no_form_alive():
     # the kernel memo and the sweeps live for one call; a cusp part is kept
-    # on its form and freed with it
-    e4, d, g, f = (forms.builtin(n, 64) for n in ("E4", "delta", "G", "F"))
+    # on its form and freed with it.  The forms are built outside the
+    # builtin memo, so only a reference held by iterint could keep them.
+    e4, d, g, f = (forms.builtin.__wrapped__(n, 64) for n in ("E4", "delta", "G", "F"))
     iterint.iterint_report(make_spec([(e4, 2.2), (d, 7.1), (e4, 3.3)]), CFG)
     iterint.iterint_report(make_spec([(g, 0.5 + 0.3j), (f, 1.7), (g, 2.1)]), CFG)
     nested_quadrature(make_spec([(d, 1.3), (e4, 2.0)]), 1.5j, 0.35j, CFG)

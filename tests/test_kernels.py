@@ -18,6 +18,7 @@ import pytest
 
 from moditer import forms, iterint, lfun, qseries, quad
 from moditer.config import NumericsConfig
+from moditer.errors import AccuracyError
 
 EPS = np.finfo(float).eps
 
@@ -70,8 +71,9 @@ def test_edge_lengths():
 
 def test_cusp_part_form_freed_after_evaluate_many():
     # the coefficient array is cached on the form itself, so a throwaway
-    # cusp part does not outlive its last reference
-    f0 = forms.cusp_part(forms.builtin("E4", 50))
+    # cusp part does not outlive its last reference (the form is built
+    # outside the builtin memo, which would hold it and its cusp part)
+    f0 = forms.cusp_part(forms.builtin.__wrapped__("E4", 50))
     vals = forms.evaluate_many(f0, np.array([0.1 + 1.0j, 0.3 + 0.5j]))
     assert np.all(np.isfinite(vals))
     ref = weakref.ref(f0)
@@ -177,6 +179,21 @@ def test_adaptive_serves_each_level_as_its_own_call(tol):
             assert (_bits(got[0]), got[1].hex()) == (_bits(alone[0]), alone[1].hex())
     if tol == 1e-19:
         assert [isinstance(r, Exception) for r in shared] == [True, False, False, False]
+
+
+@pytest.mark.parametrize("fine", [complex(1.5e308, 1.5e308), complex("nan"), complex("inf")])
+def test_adaptive_counts_a_non_finite_gap_as_infinite(monkeypatch, fine):
+    # a gap whose modulus overflows (abs raises), is NaN or is infinite
+    # never passes: the level stalls with the named error at gap inf
+    def sweep(kernels, panels, g):
+        return [fine if g > quad.GL_ORDER else 0j]
+
+    monkeypatch.setattr(quad, "iterated_integral", sweep)
+    cfg = NumericsConfig(panels=4, tol=1e-8)
+    (got,) = quad.adaptive_iterated([np.ones_like], lambda n: [], cfg)
+    assert isinstance(got, AccuracyError)
+    assert str(got) == ("quadrature stalled at 32 panels with error estimate inf "
+                        "(tolerance 1.0e-08)")
 
 
 def test_traced_names_all_present():

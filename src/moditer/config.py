@@ -48,14 +48,16 @@ class NumericsConfig:
 
     order     -- default q-expansion truncation order
     height    -- imaginary part where "i*infinity" is cut off / panels stop
-    panels    -- number of quadrature panels on the main path segment
+    panels    -- number of quadrature panels on the main path segment, where
+                 the adaptive quadrature starts; it doubles them at most three
+                 times, so the default 16 stalls past 128
     tol       -- target absolute accuracy for quadrature results
     cutoff    -- default number of terms for Dirichlet-type series
     """
 
     order: int = _env_default("order", 64)
     height: float = _env_default("height", 12.0)
-    panels: int = _env_default("panels", 64)
+    panels: int = _env_default("panels", 16)
     tol: float = _env_default("tol", 1e-8)
     cutoff: int = _env_default("cutoff", 2000)
 

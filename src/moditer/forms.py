@@ -113,7 +113,7 @@ def builtin(name: str, order: int) -> ModularForm:
         return g
     if name == "F":
         f = from_qseries(qseries.builtin_form("F", order), 4, 2, "F")
-        g = from_qseries(qseries.builtin_form("G", order), 4, 2, "G")
+        g = builtin("G", order)
         _set_fricke(f, ModularForm(4, 2, "F|w4", tuple(
             Fraction(a) - Fraction(b, 16) for a, b in zip(f.coeffs, g.coeffs)
         )))

@@ -272,7 +272,7 @@ def eisenstein_series(k: int, l: int, order: int) -> QSeries:
         raise DomainError("Eisenstein series need even k >= 2")
     if l < 1:
         raise DomainError("eisenstein_series needs l >= 1")
-    c = Fraction(-2 * k) / bernoulli(k)
+    c = _norm(Fraction(-2 * k) / bernoulli(k))  # an int when 2k/B_k is integral
     base = order // l
     table = _sigma_table(k - 1, base)
     coeffs = [0] * (order + 1)
@@ -300,10 +300,11 @@ def eta_series(l: int, order: int) -> QSeries:
 def builtin_form(name: str, order: int) -> QSeries:
     """Named q-expansion: F, G, theta4, delta, lambda, or E<k> (level 1)."""
     if name == "F":
-        e1 = eisenstein_series(2, 1, order)
-        e2 = eisenstein_series(2, 2, order)
-        e4 = eisenstein_series(2, 4, order)
-        return (e1 - 3 * e2 + 2 * e4) * Fraction(-1, 24)
+        # -(E2(z) - 3 E2(2z) + 2 E2(4z)) / 24 = sum over odd n of sigma(n) q^n:
+        # the q^n coefficient sigma(n) - 3 sigma(n/2) + 2 sigma(n/4) vanishes
+        # for even n, since sigma(2^a r) = (2^(a+1) - 1) sigma(r) for odd r
+        table = _sigma_table(1, order)
+        return QSeries(tuple(table[n] if n % 2 else 0 for n in range(order + 1)), order)
     if name in ("G", "theta4"):
         theta = [1] + [0] * order
         for n in range(1, math.isqrt(order) + 1):

@@ -140,22 +140,26 @@ def adaptive_iterated(kernels, panel_builder, config) -> list:
     n = config.panels
     out = [None] * len(kernels)
     gaps = [math.inf] * len(kernels)
-    for _ in range(4):
-        open_levels = [j for j, r in enumerate(out) if r is None]
-        if not open_levels:
-            return out
-        word = kernels[: open_levels[-1] + 1]
-        panels = panel_builder(n)
-        coarse = iterated_integral(word, panels, GL_ORDER)
-        fine = iterated_integral(word, panels, GL_ORDER + 8)
-        for j in open_levels:
-            try:
-                gaps[j] = abs(fine[j] - coarse[j])
-            except OverflowError:  # |gap| beyond the float range
-                gaps[j] = math.inf
-            if gaps[j] <= config.tol:  # a NaN gap fails this too
-                out[j] = (fine[j], gaps[j])
-        n *= 2
+    # A kernel may overflow to inf or NaN on a high path (z^(s-1) at
+    # Im z = 1e300); the gap check below turns that into the named stall, so
+    # numpy need not warn.  One errstate per call keeps it off the kernels.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(4):
+            open_levels = [j for j, r in enumerate(out) if r is None]
+            if not open_levels:
+                return out
+            word = kernels[: open_levels[-1] + 1]
+            panels = panel_builder(n)
+            coarse = iterated_integral(word, panels, GL_ORDER)
+            fine = iterated_integral(word, panels, GL_ORDER + 8)
+            for j in open_levels:
+                try:
+                    gaps[j] = abs(fine[j] - coarse[j])
+                except OverflowError:  # |gap| beyond the float range
+                    gaps[j] = math.inf
+                if gaps[j] <= config.tol:  # a NaN gap fails this too
+                    out[j] = (fine[j], gaps[j])
+            n *= 2
     for j, r in enumerate(out):
         if r is None:
             gap = gaps[j] if gaps[j] <= math.inf else math.inf  # NaN counts as infinite

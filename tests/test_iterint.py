@@ -271,6 +271,45 @@ def test_mzv_pullback_and_shuffle_word_bits_pinned():
         "0x1.db7054bfd1df2p-29", "-0x1.2979fa8534ad4p-26")
 
 
+GRID_POOLS = {1: ("delta", "E4", "E6", "E8", 1), 4: ("F", "G", 1)}
+
+
+def _grid_case(rng):
+    """A random report: depth 1-4 over one level's built-ins, cusp forms and
+    forms with a constant term, the constant 1 too; real and complex
+    exponents 0.5 clear of every pole divisor (trailing sums s_j + .. + s_n
+    on the plain side, (s_1 - k_1) + .. + (s_j - k_j) on the reflected one)."""
+    level = rng.choice((1, 4))
+    depth = rng.randint(1, 4)
+    while True:
+        names = [rng.choice(GRID_POOLS[level]) for _ in range(depth)]
+        word = [(n if n == 1 else forms.builtin(n, 64)) for n in names]
+        s = [complex(rng.uniform(-1, 8), rng.uniform(-1, 1) if rng.random() < 0.5 else 0)
+             for _ in names]
+        k = [0 if f == 1 else f.weight for f in word]
+        divisors = [sum(s[j:]) for j in range(depth)]
+        divisors += [sum(x - w for x, w in zip(s[: j + 1], k[: j + 1])) for j in range(depth)]
+        if any(f != 1 for f in word) and min(map(abs, divisors)) >= 0.5:
+            return make_spec(list(zip(word, s)), level), rng.choice((12.0, 20.0, 30.0))
+
+
+def test_default_grid_agrees_with_64_panels():
+    # The default grid is 16 panels; the old default was 64.  Each report on
+    # the default grid lies within both reports' err (plus rounding, which err
+    # does not yet cover) of the one on 64 panels.
+    rng = random.Random(20)
+    eps = np.finfo(float).eps
+    bad = []
+    for case in range(200):
+        spec, height = _grid_case(rng)
+        r16 = iterint.iterint_report(spec, NumericsConfig(panels=16, height=height))
+        r64 = iterint.iterint_report(spec, NumericsConfig(panels=64, height=height))
+        bound = r16.err_estimate + r64.err_estimate + 64 * eps * abs(r64.value)
+        if not abs(r16.value - r64.value) <= bound:
+            bad.append((case, spec, height, abs(r16.value - r64.value), bound))
+    assert bad == []
+
+
 def test_report_keeps_no_form_alive():
     # the kernel memo and the sweeps live for one call; a cusp part is kept
     # on its form and freed with it.  The forms are built outside the

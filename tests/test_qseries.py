@@ -325,6 +325,17 @@ def test_F_coefficients_are_odd_divisor_sums():
         assert f.coeffs[n] == (sigma_brute(1, n) if n % 2 else 0)
 
 
+def test_F_matches_the_eisenstein_combination():
+    # the level-4 construction F = -(E2(z) - 3 E2(2z) + 2 E2(4z)) / 24 is the
+    # oracle, equal coefficient for coefficient and type for type
+    order = 4000
+    e2 = [eisenstein_series(2, l, order) for l in (1, 2, 4)]
+    want = (e2[0] - 3 * e2[1] + 2 * e2[2]) * Fraction(-1, 24)
+    got = builtin_form("F", order)
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
 def test_delta_small_coefficients():
     d = builtin_form("delta", 7)
     assert d.coeffs == (0, 1, -24, 252, -1472, 4830, -6048, -16744)

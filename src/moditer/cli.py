@@ -20,7 +20,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import forms, identities, iterint, lfun, mzv, qseries, quad
 from .config import NumericsConfig
@@ -59,16 +59,9 @@ def _pair(z) -> list:
 
 
 def _report_dict(r: RunReport) -> dict:
-    return {
-        "subcommand": r.subcommand,
-        "inputs": r.inputs,
-        "config": r.config,
-        "values": r.values,
-        "checks": r.checks,
-        "data": r.data,
-        "passed": r.passed,
-        "failed": r.failed,
-    }
+    out = {f.name: getattr(r, f.name) for f in fields(r)}  # shallow, unlike asdict
+    out.update(passed=r.passed, failed=r.failed)
+    return out
 
 
 def _emit(report: RunReport, output: str, stream) -> None:
@@ -112,11 +105,8 @@ def _check_entry(name, diff, tol, lhs=None, rhs=None) -> dict:
 
 def _term_str(t) -> str:
     c = t.coeff
+    sp = identities.SPlus
     parts = [] if c.rat == 1 else [str(c.rat)]
-
-    def sp(g):
-        return "s" if g == 0 else f"s+{g}"
-
     parts += [f"a0[{i}]" for i in c.a0_idx]
     parts += [f"Gamma({sp(g)})" for g in c.gamma_num]
     parts += [f"Gamma({sp(g)})^-1" for g in c.gamma_den]
@@ -245,14 +235,20 @@ def _parse_clist(text: str):
 
 # --- subcommand bodies -----------------------------------------------------------
 
-def _coeff_native(c):
-    f = float(c)
-    return int(c) if f.is_integer() else _f15(f)
+def _coeff_native(f, n, c):
+    """a_n = c for JSON: int if its float is integral, else 15 digits; complex as [re, im]."""
+    if isinstance(c, complex):
+        return _pair(c)
+    try:
+        x = float(c)
+    except OverflowError:
+        x = forms._coeff_as(f, n, float)  # converts again, naming f and n in the error
+    return int(c) if x.is_integer() else _f15(x)
 
 
 def _run_qexp(ns, cfg, reg) -> RunReport:
     f = _resolve(ns.name, reg, cfg.order)
-    coeffs = [_coeff_native(c) for c in f.coeffs[: cfg.order + 1]]
+    coeffs = [_coeff_native(f, n, c) for n, c in enumerate(f.coeffs[: cfg.order + 1])]
     return RunReport(
         "qexp",
         {"name": ns.name, "order": cfg.order},

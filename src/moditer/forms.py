@@ -67,7 +67,11 @@ class ModularForm:
     @cached_property
     def _np_coeffs(self) -> np.ndarray:
         # lives in the instance __dict__, so it is freed with the form
-        arr = np.array([complex(c) for c in self.coeffs], dtype=complex)
+        try:
+            values = [complex(c) for c in self.coeffs]
+        except OverflowError:  # convert again, naming the first one out of range
+            values = [_coeff_as(self, n, complex) for n in range(len(self.coeffs))]
+        arr = np.array(values, dtype=complex)
         arr.setflags(write=False)
         return arr
 
@@ -76,6 +80,14 @@ class ModularForm:
         # built once and kept beside _np_coeffs: one cusp part per live form
         return ModularForm(self.level, self.weight, self.label + "^0",
                            (0,) + self.coeffs[1:], self.chi)
+
+
+def _coeff_as(f: ModularForm, n: int, kind):
+    """kind(a_n) for kind float or complex; DomainError where a_n leaves the float range."""
+    try:
+        return kind(f.coeffs[n])
+    except OverflowError:
+        raise DomainError(f"form {f.label!r}: coefficient a_{n} leaves the float range") from None
 
 
 def _set_fricke(f: ModularForm, g: ModularForm):
@@ -245,12 +257,20 @@ def fricke_companion(f: ModularForm) -> ModularForm:
 
 # ------------------------------------------------------------ serialization
 
-def _decode_coeff(c):
-    if isinstance(c, (int, float)):
+def _decode_coeff(c, path, n):
+    # exact types: JSON true/false parse as bools, which isinstance counts as ints
+    if type(c) in (int, float):
         return c
-    if isinstance(c, list) and len(c) == 2 and all(isinstance(t, (int, float)) for t in c):
+    if isinstance(c, list) and len(c) == 2 and all(type(t) in (int, float) for t in c):
         return complex(c[0], c[1])
-    raise DomainError(f"bad coefficient entry {c!r}: expected number or [re, im]")
+    raise DomainError(f"form file {path}: coeffs[{n}] = {c!r} is not a number or [re, im]")
+
+
+def _int_field(data, key, path) -> int:
+    try:
+        return int(data[key])
+    except (TypeError, ValueError):
+        raise DomainError(f"form file {path}: field {key!r} is not an integer") from None
 
 
 def _encode_coeff(c):
@@ -272,16 +292,16 @@ def load_form(path) -> ModularForm:
     except json.JSONDecodeError as exc:
         raise DomainError(f"cannot parse form file {path}: {exc}") from exc
     for key in ("level", "weight", "coeffs"):
-        if key not in data:
+        if not isinstance(data, dict) or key not in data:
             raise DomainError(f"form file {path} missing field {key!r}")
     coeffs = data["coeffs"]
     if not isinstance(coeffs, list) or not coeffs:
         raise DomainError(f"form file {path} has an empty coefficient list")
     return ModularForm(
-        int(data["level"]),
-        int(data["weight"]),
+        _int_field(data, "level", path),
+        _int_field(data, "weight", path),
         str(data.get("label", "ingested")),
-        tuple(_decode_coeff(c) for c in coeffs),
+        tuple(_decode_coeff(c, path, n) for n, c in enumerate(coeffs)),
         str(data.get("chi", "trivial")),
     )
 

@@ -65,10 +65,6 @@ def exp_at(e, s0: complex) -> complex:
 
 # --- exact coefficients ------------------------------------------------------
 
-def _as_frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 _LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028, 771.32342877765313,
             -176.61502916214059, 12.507343278686905, -0.13857109526572012,
             9.9843695780195716e-6, 1.5056327351493116e-7)
@@ -107,7 +103,7 @@ class Coeff:
 
     def scaled(self, r) -> "Coeff":
         return Coeff(
-            self.rat * _as_frac(r),
+            self.rat * r,
             self.gamma_num, self.gamma_den, self.lin_num, self.lin_den, self.a0_idx,
         )
 
@@ -164,22 +160,18 @@ def enumerate_indices(alphas):
     0 <= j_k < u_k + j_{k+1} for alphas = (u_2..u_m), sorted by the
     rightmost index first."""
     alphas = tuple(int(a) for a in alphas)
-    if not alphas:
-        return [()]
     out = []
 
     def rec(pos, j_next, acc):
-        # pos walks the alphas right to left; acc collects reversed
+        # pos walks the alphas right to left, so the outermost loop is the
+        # rightmost index and tuples come out sorted by it; acc collects reversed
         if pos < 0:
             out.append(tuple(reversed(acc)))
             return
         for j in range(alphas[pos] + j_next):
             rec(pos - 1, j, acc + [j])
 
-    # outermost loop is the rightmost index so tuples come out sorted by it
-    last = len(alphas) - 1
-    for j in range(alphas[last]):
-        rec(last - 1, j, [j])
+    rec(len(alphas) - 1, 0, [])
     return out
 
 
@@ -254,31 +246,21 @@ def thI_expand(forms, alphas) -> tuple:
     a0s = [f.a0 for f in forms]
     terms = []
     for D, a0_idx, B, u in _cusp_subsets(exps, a0s):
-        # u: the folded word, slots 0..D[-1]
-        L = len(u)
-        if L == 1:
-            off = u[0].off
-            terms.append(
-                Term(
-                    Coeff(rat=-B, gamma_num=(off,), a0_idx=a0_idx),
-                    LTarget((D[0],), (SPlus(off),)),
-                )
-            )
-            continue
-        sign = Fraction(-1) ** L
+        # u: the folded word, slots 0..D[-1]; u[0] = s + off, where off is
+        # nonzero only for D = (0,), whose one slot took every exponent
+        sign = Fraction(-1) ** len(u)
+        pos = [p + 1 for p in D]  # 1-based positions in folded word
         for J, binom, new in _chained_family(u[1:]):
-            v = (None, None) + new  # v[k] for k = 2..L
+            v = (None, None) + new  # v[k] for k = 2..len(u)
+            g = u[0].off + (J[0] if J else 0)  # the Gamma shift
             rat = sign * B * binom * math.prod(math.factorial(vk - 1) for vk in new)  # Gamma(v_k)
             # argument vector: v-sums between consecutive kept slots
-            pos = [p + 1 for p in D]  # 1-based positions in folded word
-            args = []
-            first = SPlus(J[0] + sum(v[k] for k in range(2, pos[0] + 1)))
-            args.append(first)
+            args = [SPlus(g + sum(v[k] for k in range(2, pos[0] + 1)))]
             for a, b in zip(pos, pos[1:]):
                 args.append(sum(v[k] for k in range(a + 1, b + 1)))
             terms.append(
                 Term(
-                    Coeff(rat=rat, gamma_num=(J[0],), a0_idx=a0_idx),
+                    Coeff(rat=rat, gamma_num=(g,), a0_idx=a0_idx),
                     LTarget(D, tuple(args)),
                 )
             )
@@ -288,7 +270,8 @@ def thI_expand(forms, alphas) -> tuple:
 # --- the I-from-L expansion (continuation) -------------------------------------
 
 def _by_parts(word, coeff, out):
-    """Eliminate constant slots of an i-infinity-to-0 word.
+    """Eliminate constant slots of an i-infinity-to-0 word, appending one
+    Term with an ITarget to out per word left.
 
     word: list of (orig_index or None, exponent).  A leading constant slot
     merges its exponent into the next slot at the cost of -1/(s + c); an
@@ -299,14 +282,14 @@ def _by_parts(word, coeff, out):
         if idx is None:
             break
     else:
-        out.append((coeff, word))
+        out.append(Term(coeff, ITarget(tuple(i for i, _ in word), tuple(e for _, e in word))))
         return
     e = word[p][1]
     if p == 0:
         nxt_idx, nxt_e = word[1]
         rest = [(nxt_idx, e + nxt_e)] + word[2:]
-        c = coeff.scaled(-1)
-        c = Coeff(c.rat, c.gamma_num, c.gamma_den, c.lin_num, c.lin_den + (e.off,), c.a0_idx)
+        c = Coeff(-coeff.rat, coeff.gamma_num, coeff.gamma_den, coeff.lin_num,
+                  coeff.lin_den + (e.off,), coeff.a0_idx)
         _by_parts(rest, c, out)
         return
     left_idx, left_e = word[p - 1]
@@ -331,28 +314,16 @@ def thS_expand(forms, alphas) -> tuple:
     exps = _word_exponents(n, alphas)
     a0s = [f.a0 for f in forms]
     al = tuple(int(a) for a in alphas)  # a_2..a_n
-    raw = []
+    # every seed divides by Gamma^{(s, a.)} = (-1)^n Gamma(s) prod Gamma(a_k);
+    # the rational factors are exact, so dividing first changes no term
+    scale = Fraction(-1) ** n * math.prod(math.factorial(a - 1) for a in al)
+    terms = []
     for J, rat, new in _alternating_family(al):
         w = [SPlus(J[0] if J else 0), *new]
         # cusp parts f0 = f - a0: keep a subset T of full forms
         for T, a0_idx, B, folded in _cusp_subsets(w, a0s):
             sgn = Fraction(-1) ** len(a0_idx)
             word = [(i if i in T else None, e) for i, e in enumerate(folded)]
-            _by_parts(word, Coeff(rat=rat * sgn * B, a0_idx=a0_idx), raw)
-
-    # divide by Gamma^{(s, a.)} = (-1)^n Gamma(s) prod Gamma(a_k)
-    scale = Fraction(-1) ** n * math.prod(math.factorial(a - 1) for a in al)
-    terms = []
-    for coeff, word in raw:
-        c = Coeff(
-            coeff.rat / scale,
-            coeff.gamma_num,
-            coeff.gamma_den + (0,),
-            coeff.lin_num,
-            coeff.lin_den,
-            coeff.a0_idx,
-        )
-        indices = tuple(i for i, _ in word)
-        args = tuple(e for _, e in word)
-        terms.append(Term(c, ITarget(indices, args)))
+            seed = Coeff(rat=rat * sgn * B / scale, gamma_den=(0,), a0_idx=a0_idx)
+            _by_parts(word, seed, terms)
     return tuple(terms)

@@ -153,6 +153,14 @@ def _trailing_fold(s, names, m, divisors) -> complex:
     return fold
 
 
+def _closed_power(b: complex, s) -> complex:
+    """b^(s_n+..+s_1) for s listed outermost first; DomainError past the float range."""
+    try:
+        return cmath.exp(sum(reversed(s)) * cmath.log(b))
+    except OverflowError:
+        raise DomainError(f"closed form ({b:.4g})^({sum(s):.4g}) leaves the float range") from None
+
+
 def ones_closed_form(b: complex, s_vec) -> complex:
     """I_{i-inf}^b(1..1; s_1..s_n) = b^(s_1+..+s_n) / (s_n (s_n+s_{n-1}) ...),
     meromorphically continued; poles exactly at vanishing trailing sums."""
@@ -162,7 +170,7 @@ def ones_closed_form(b: complex, s_vec) -> complex:
     if not s:
         raise DomainError("empty exponent list")
     names = [f"s_{i + 1}" for i in range(len(s))]
-    return cmath.exp(sum(reversed(s)) * cmath.log(b)) * _trailing_fold(s, names, len(s), [])
+    return _closed_power(b, s) * _trailing_fold(s, names, len(s), [])
 
 
 def nested_quadrature(spec: IterSpec, a, b: complex, config: NumericsConfig | None = None) -> complex:
@@ -254,10 +262,11 @@ def _eval_piece(side: _Side, p: int, divisors):
 
     Returns (value, error estimate).  Pole guards fire only on terms whose
     constant-term product is nonzero; a piece holding an identically zero
-    form is 0 and consults no divisor.
+    form is 0 and consults no divisor.  The empty piece, p = 0, is the
+    closed form of the empty word: exactly (1, 0), with no divisor.
     """
-    kernels = side.seq[p - 1 :: -1]
-    names = side.names[p - 1 :: -1]
+    kernels = side.seq[:p][::-1]
+    names = side.names[:p][::-1]
     if any(_is_zero(ks) for ks in kernels):
         return 0j, 0.0
     s = [complex(ks.s) for ks in kernels]
@@ -266,8 +275,7 @@ def _eval_piece(side: _Side, p: int, divisors):
     err = 0.0
     A = math.prod(a0)
     if A != 0:
-        closed = cmath.exp(sum(reversed(s)) * cmath.log(side.b))
-        total += complex(A) * closed * _trailing_fold(s, names, p, divisors)
+        total += complex(A) * _closed_power(side.b, s) * _trailing_fold(s, names, p, divisors)
     for last in range(p):
         trailing = math.prod(a0[last + 1 :])
         if not _has_cusp(kernels[last]) or trailing == 0:
@@ -325,27 +333,17 @@ def iterint_report(spec: IterSpec, config: NumericsConfig | None = None) -> Iter
     total = 0j
     err = 0.0
     for m in range(n + 1):
-        if m == n:
-            plain_v, plain_err = 1.0 + 0j, 0.0
-        else:
-            plain_v, plain_err = _eval_piece(plain, n - m, divisors)
-        if m == 0:
-            refl, refl_err = 1.0 + 0j, 0.0
-        else:
-            sum_s = sum(ks.s for ks in kernels[:m])
-            sum_k = sum(0 if ks.form is None else ks.form.weight for ks in kernels[:m])
-            pref = cmath.exp(1j * cmath.pi * sum_s) * cmath.exp(
-                (-sum_s + sum_k / 2.0) * math.log(N)
-            )
-            inner, inner_err = _eval_piece(mirror, m, divisors)
-            refl, refl_err = pref * inner, abs(pref) * inner_err
+        plain_v, plain_err = _eval_piece(plain, n - m, divisors)
+        sum_s = sum(ks.s for ks in kernels[:m])
+        sum_k = sum(0 if ks.form is None else ks.form.weight for ks in kernels[:m])
+        pref = cmath.exp(1j * cmath.pi * sum_s) * cmath.exp(
+            (-sum_s + sum_k / 2.0) * math.log(N)
+        )
+        inner, inner_err = _eval_piece(mirror, m, divisors)
+        refl, refl_err = pref * inner, abs(pref) * inner_err
         total += plain_v * refl
         err += abs(plain_v) * refl_err + abs(refl) * plain_err
-    seen = []
-    for d in divisors:
-        if d not in seen:
-            seen.append(d)
-    return IterReport(complex(total), err, tuple(seen))
+    return IterReport(complex(total), err, tuple(dict.fromkeys(divisors)))  # first-seen order
 
 
 def iterint_full(spec: IterSpec, config: NumericsConfig | None = None) -> complex:
@@ -421,9 +419,7 @@ def tilde_I_fourier(spec: IterSpec, z: complex, config: NumericsConfig | None = 
     starts = [0] + [i + 1 for i in form_slots[:-1]]
     exps = [sum(alphas[a : b + 1]) for a, b in zip(starts, form_slots)]
     acc = _shells([kernels[i].form for i in form_slots], exps, cfg.order)
-    gamma_factor = (-1) ** len(kernels)
-    for a in alphas:
-        gamma_factor *= math.factorial(a - 1)
+    gamma_factor = (-1) ** len(kernels) * math.prod(math.factorial(a - 1) for a in alphas)
     total_alpha = sum(alphas)
     series = complex(evaluate_series(acc, [z])[0])  # sum_{t>=1} acc[t] q^t; acc[0] = 0
     return gamma_factor * (-2j * cmath.pi) ** (-total_alpha) * series

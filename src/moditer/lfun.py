@@ -9,10 +9,9 @@ ascending in T.  The shells come from iterint._shells, whose T = t shell is
 also the q^t coefficient of the shifted integral I-tilde; its convolution
 cascade convolves real parts only where both operands are real, so a word of
 real forms with real inner exponents convolves in real arithmetic only.
-L_continued
-evaluates the same function anywhere by expanding it into iterated integrals
-of the forms themselves; evaluate_L_terms and evaluate_I_terms sum the Terms
-of an expansion.
+L_continued evaluates the same function anywhere by expanding it into
+iterated integrals of the forms themselves; evaluate_L_terms and
+evaluate_I_terms sum the Terms of an expansion.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ __all__ = [
     "p1_word_integral",
     "mzv_modular_integral",
     "modular_raw_integral",
-    "lambda_modular",
 ]
 
 
@@ -260,10 +259,3 @@ def _zeta_from_report(idx: MzvIndex, report: iterint.IterReport):
 
 def mzv_modular_integral(idx: MzvIndex, config: NumericsConfig | None = None) -> float:
     return _zeta_from_report(idx, modular_raw_integral(idx, config))[0]
-
-
-def lambda_modular(z: complex, config: NumericsConfig | None = None) -> complex:
-    """Hauptmodul 16 F / G mapping the upper imaginary axis to (0, 1),
-    with 0 at i-infinity."""
-    f, g = forms.builtin("F", _KERNEL_ORDER), forms.builtin("G", _KERNEL_ORDER)
-    return 16 * forms.evaluate_at(f, z) / forms.evaluate_at(g, z)

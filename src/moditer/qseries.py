@@ -11,6 +11,7 @@ one routine, Miller's recurrence, with one exact division per coefficient.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ from .errors import DomainError
 __all__ = [
     "QSeries",
     "bernoulli",
-    "sigma",
     "eisenstein_series",
     "eta_series",
     "builtin_form",
@@ -160,15 +160,6 @@ class QSeries:
         g = _pow_coeffs(self.coeffs[v:], n, self.order - n * v)
         return QSeries((0,) * (n * v) + g, self.order, n * self.prefactor_num)
 
-    def __str__(self):
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if c:
-                parts.append(f"{c}*q^{n}" if n else f"{c}")
-        body = " + ".join(parts) if parts else "0"
-        head = f"q^({self.prefactor_num}/24) * " if self.prefactor_num else ""
-        return f"{head}{body} + O(q^{self.order + 1})"
-
 
 def _mul_coeffs(a, b, m):
     # Iterate over the sparser factor; eta/theta mantissas are very sparse.
@@ -213,45 +204,24 @@ def _pow_coeffs(u, k, m):
 
 # -- number-theoretic scalars ---------------------------------------------
 
-_BERNOULLI_CACHE = {0: Fraction(1), 1: Fraction(-1, 2)}
-
-
+@functools.lru_cache(maxsize=32)
 def bernoulli(k: int) -> Fraction:
-    """k-th Bernoulli number (B1 = -1/2 convention); exact."""
+    """k-th Bernoulli number (B1 = -1/2 convention); exact.  A miss runs the
+    recurrence up from B_0, so the memo holds only the 32 most recent k."""
     if k < 0:
         raise DomainError("Bernoulli numbers need k >= 0")
-    if k in _BERNOULLI_CACHE:
-        return _BERNOULLI_CACHE[k]
-    if k % 2 == 1:
+    table = {0: Fraction(1), 1: Fraction(-1, 2)}
+    if k > 1 and k % 2:
         return Fraction(0)
-    top = max(j for j in _BERNOULLI_CACHE if j % 2 == 0)
-    for n in range(top + 2, k + 1, 2):
+    for n in range(2, k + 1, 2):
         # sum_{j=0}^{n} C(n+1, j) B_j = 0
         acc = Fraction(0)
         for j in range(n):
-            bj = _BERNOULLI_CACHE.get(j, Fraction(0))
+            bj = table.get(j, Fraction(0))
             if bj:
                 acc += math.comb(n + 1, j) * bj
-        _BERNOULLI_CACHE[n] = -acc / (n + 1)
-    return _BERNOULLI_CACHE[k]
-
-
-def sigma(k: int, n: int) -> int:
-    """Divisor power sum: sum of d^k over d | n."""
-    if n <= 0:
-        raise DomainError("sigma needs n >= 1")
-    if k < 0:
-        raise DomainError("sigma needs k >= 0")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d ** k
-            e = n // d
-            if e != d:
-                total += e ** k
-        d += 1
-    return total
+        table[n] = -acc / (n + 1)
+    return table[k]
 
 
 def _sigma_table(k: int, m: int):

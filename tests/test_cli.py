@@ -133,6 +133,39 @@ def test_iterint_overflowing_height_exits_one():
     assert "Traceback" not in got.stderr
 
 
+def named_error(*argv) -> str:
+    """stderr of the CLI in a child interpreter, which must end in a named
+    error: exit 1, nothing on stdout, an "error:" line and no traceback."""
+    cmd = [sys.executable, "-m", "moditer.cli", *argv]
+    got = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
+    assert (got.returncode, got.stdout) == (1, ""), got.stderr
+    assert got.stderr.startswith("error: ") and "Traceback" not in got.stderr
+    return got.stderr
+
+
+@pytest.mark.parametrize("argv", [("qexp", "E400", "--order", "1000"), ("eval", "E400", "--z", "1j")])
+def test_builtin_coefficient_outside_float_range(argv):
+    assert "form 'E400': coefficient a_140 leaves the float range" in named_error(*argv)
+
+
+@pytest.mark.parametrize("argv", [("qexp", "huge"), ("eval", "huge", "--z", "1j")])
+def test_loaded_coefficient_outside_float_range(tmp_path, argv):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"level": 1, "weight": 12, "label": "huge", "coeffs": [0, 1, 10**400]}))
+    assert "form 'huge': coefficient a_2 leaves the float range" in named_error(*argv, "--form", str(path))
+
+
+def test_closed_form_overflow_exits_one():
+    assert "leaves the float range" in named_error("iterint", "G", "--s", "-1e308")
+
+
+def test_qexp_prints_complex_coefficient_as_pair(capsys, tmp_path):
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({"level": 1, "weight": 12, "label": "cx", "coeffs": [0, [1.5, -2], 3]}))
+    code, rep = run_json(capsys, "qexp", "cx", "--form", str(path))
+    assert code == 0 and rep["data"]["coeffs"] == [0, [1.5, -2.0], 3]
+
+
 def test_negative_value_after_option(capsys):
     code, spaced, _ = run_cli(capsys, "eval", "delta", "--z", "-0.1+1j")
     assert code == 0

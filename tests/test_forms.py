@@ -203,6 +203,30 @@ def test_load_errors(tmp_path):
         forms.load_form(empty)
 
 
+@pytest.mark.parametrize(
+    "payload,field",
+    [
+        ({"level": 1, "weight": "x", "coeffs": [0, 1]}, "'weight'"),
+        ({"level": [4], "weight": 2, "coeffs": [0, 1]}, "'level'"),
+        (5, "'level'"),
+        ({"level": 1, "weight": 12, "coeffs": [0, True]}, "coeffs[1]"),
+        ({"level": 1, "weight": 12, "coeffs": [0, [1, False]]}, "coeffs[1]"),
+    ],
+)
+def test_load_names_malformed_field(tmp_path, payload, field):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DomainError) as info:
+        forms.load_form(path)
+    assert str(path) in str(info.value) and field in str(info.value)
+
+
+def test_coefficient_outside_float_range_is_named():
+    f = forms.ModularForm(1, 12, "huge", (0, 1, 10**400))
+    with pytest.raises(DomainError, match="'huge': coefficient a_2 leaves the float range"):
+        forms.evaluate_many(f, np.array([1j]))
+
+
 def test_fricke_rejects_nontrivial_character():
     f = forms.ModularForm(level=4, weight=2, label="twisted", coeffs=(0, 1), chi="odd")
     with pytest.raises(DomainError, match="character"):

@@ -7,10 +7,13 @@ rationals at the points POINTS; the degree bound of assert_vanishes makes
 that finite check a proof.
 """
 
+import hashlib
+import itertools
 import math
 import pkgutil
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -293,3 +296,27 @@ def test_all_names_resolve():
     names = ["moditer"] + [f"moditer.{m.name}" for m in pkgutil.iter_modules(moditer.__path__)]
     for name in names:
         exec(f"from {name} import *", {})
+
+
+# The SHA-256 of the term lists below; a change of term order, of a
+# coefficient's exact form or of a target's representation changes it even
+# where the values at rational points agree.
+TERM_LIST_DIGEST = "6350640df271e6a92fb7fc23def4c85af4f0764ddff1b78758efd08755c6efbd"
+
+
+def test_term_lists_pinned():
+    # every word of 1-3 forms with a0 in {0, 1, -3/2} and exponents 1-3;
+    # expansions read only a0 off each form
+    h = hashlib.sha256()
+    count = 0
+    for n in range(1, 4):
+        for a0s in itertools.product((0, 1, Fraction(-3, 2)), repeat=n):
+            word = [SimpleNamespace(a0=a) for a in a0s]
+            for alphas in itertools.product((1, 2, 3), repeat=n - 1):
+                for expand in (idn.thI_expand, idn.thS_expand):
+                    for t in expand(word, alphas):
+                        key = (t.coeff, type(t.target).__name__, t.target.indices, t.target.args)
+                        h.update(repr(key).encode() + b"\n")
+                        count += 1
+    assert count == 9888
+    assert h.hexdigest() == TERM_LIST_DIGEST

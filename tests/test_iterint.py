@@ -76,6 +76,14 @@ def test_ones_pole_names_divisor():
         ones_closed_form(1j, (-1, 0))
 
 
+def test_ones_overflow_is_named():
+    # |b^s| = 2^(1e308) is past the float range; so is the piece of G's report
+    with pytest.raises(DomainError, match="leaves the float range"):
+        ones_closed_form(0.5j, (-1e308,))
+    with pytest.raises(DomainError, match="leaves the float range"):
+        iterint.iterint_report(make_spec([(forms.builtin("G", 64), -1e308)]))
+
+
 def test_ones_continuation_matches_quadrature():
     rng = random.Random(7)
     for _ in range(5):

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from moditer.errors import DomainError
 from moditer.qseries import (
     QSeries,
+    _sigma_table,
     bernoulli,
     builtin_form,
     eisenstein_series,
     eta_series,
     logderiv,
-    sigma,
 )
 
 
@@ -113,18 +113,44 @@ def test_bernoulli_rejects_negative():
         bernoulli(-2)
 
 
+def bernoulli_incremental(kmax):
+    """B_0..B_kmax from the recurrence sum_{j<=n} C(n+1, j) B_j = 0, filled in
+    one pass the way a cache that keeps every even index would fill it."""
+    table = {0: Fraction(1), 1: Fraction(-1, 2)}
+    for n in range(2, kmax + 1, 2):
+        table[n] = -sum(math.comb(n + 1, j) * table.get(j, 0) for j in range(n)) / (n + 1)
+    return [table.get(k, Fraction(0)) for k in range(kmax + 1)]
+
+
+def test_bernoulli_values_to_60():
+    bernoulli.cache_clear()
+    assert [bernoulli(k) for k in range(61)] == bernoulli_incremental(60)
+    assert bernoulli(12) == Fraction(-691, 2730)
+    assert bernoulli(20) == Fraction(-174611, 330)
+    assert bernoulli(30) == Fraction(8615841276005, 14322)
+    assert bernoulli(60) == Fraction(-1215233140483755572040304994079820246041491, 56786730)
+
+
+def test_bernoulli_cache_is_bounded():
+    for k in range(100):
+        bernoulli(k)
+    assert bernoulli.cache_info().currsize <= 32
+    # an error caches nothing
+    bernoulli.cache_clear()
+    with pytest.raises(DomainError):
+        bernoulli(-4)
+    assert bernoulli.cache_info().currsize == 0
+
+
 def test_sigma_against_brute_force():
+    # _sigma_table is the divisor sieve every built-in Eisenstein series reads
     for k in range(0, 4):
-        for n in range(1, 60):
-            assert sigma(k, n) == sigma_brute(k, n)
+        assert _sigma_table(k, 59)[1:] == [sigma_brute(k, n) for n in range(1, 60)]
 
 
 def test_sigma_examples():
-    assert sigma(1, 1) == 1
-    assert sigma(1, 3) == 4
-    assert sigma(3, 2) == 9
-    with pytest.raises(DomainError):
-        sigma(1, 0)
+    assert _sigma_table(1, 3) == [0, 1, 3, 4]
+    assert _sigma_table(3, 2)[2] == 9
 
 
 # ------------------------------------------------------------ series algebra

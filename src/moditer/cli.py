@@ -236,14 +236,14 @@ def _parse_clist(text: str):
 # --- subcommand bodies -----------------------------------------------------------
 
 def _coeff_native(f, n, c):
-    """a_n = c for JSON: int if its float is integral, else 15 digits; complex as [re, im]."""
+    """a_n = c for JSON: exact int if c is integral, else 15 digits; complex as [re, im]."""
     if isinstance(c, complex):
         return _pair(c)
     try:
         x = float(c)
     except OverflowError:
         x = forms._coeff_as(f, n, float)  # converts again, naming f and n in the error
-    return int(c) if x.is_integer() else _f15(x)
+    return int(c) if x.is_integer() and c == int(c) else _f15(x)
 
 
 def _run_qexp(ns, cfg, reg) -> RunReport:

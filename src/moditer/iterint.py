@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 from numpy import convolve as conv_complex
@@ -97,18 +97,39 @@ def _decays(ks: KernelSpec) -> bool:
     return ks.form is not None and not ks.form.coeffs[0]
 
 
-class _KernelMemo:
-    """Kernel values for one report or one nested_quadrature call, dropped
-    when it returns.  Per grid it takes log z once, evaluate_many once per
-    form and f z^{s-1} once per (form, s), each with the expression of a lone
+class _Sweeps:
+    """Every adaptive sweep of one report or one nested_quadrature call along
+    one panel chain, dropped when the call returns.
+
+    A sweep stores each level of its word under that level's prefix, keyed
+    ((id(form), s), ...) innermost first.  Level j is bit for bit a sweep of
+    word[:j+1] alone (see quad), so a word whose prefix is stored runs no new
+    sweep.  Per grid the table takes log z once, evaluate_many once per form
+    and f z^{s-1} once per (form, s), each with the expression of a lone
     kernel evaluation, so every array is bit-identical to one."""
 
-    def __init__(self):
+    def __init__(self, builder, config: NumericsConfig):
+        self.builder = builder
+        self.config = config
+        self._levels = {}  # prefix key -> (value, err), or the AccuracyError it stalled at
         self._grids = {}  # node bytes -> {"log": log z, id(form): f(z), (id(form), s): kernel}
-        self._forms = {}  # id -> form: keeps every id-keyed form alive while the memo is
+        self._forms = {}  # id -> form: keeps every id-keyed form alive while the table is
 
-    def kernel(self, ks: KernelSpec):
-        form, s = ks.form, complex(ks.s)
+    def level(self, word, depth: int):
+        """(value, err) of word[:depth+1], read innermost first, or raise its
+        stall.  A prefix not yet stored sweeps the whole word."""
+        keys = [(id(ks.form), complex(ks.s)) for ks in word]
+        key = tuple(keys[: depth + 1])
+        if key not in self._levels:
+            kernels = [self._kernel(ks.form, s) for ks, (_, s) in zip(word, keys)]
+            for j, result in enumerate(quad.adaptive_iterated(kernels, self.builder, self.config)):
+                self._levels[tuple(keys[: j + 1])] = result
+        result = self._levels[key]
+        if isinstance(result, AccuracyError):
+            raise result
+        return result
+
+    def _kernel(self, form, s: complex):
         self._forms[id(form)] = form
         return lambda z: self._value(form, s, z)
 
@@ -125,40 +146,12 @@ class _KernelMemo:
         return grid[key]
 
 
-def _level(result):
-    """A level of quad.adaptive_iterated: (value, err), or raise its stall."""
-    if isinstance(result, AccuracyError):
-        raise result
-    return result
-
-
-def _sum_label(names) -> str:
-    return " + ".join(names) if len(names) > 1 else names[0]
-
-
-def _trailing_fold(s, names, m, divisors) -> complex:
-    """1 / (s_p (s_p + s_{p-1}) ... (s_p + .. + s_{p-m+1})): the factor that
-    folds m trailing constant slots away.  Records each partial sum's label in
-    divisors and raises PoleError on the first that vanishes."""
-    p = len(s)
-    acc = 0j
-    fold = 1.0 + 0j
-    for idx in range(p - 1, p - 1 - m, -1):
-        acc += s[idx]
-        label = _sum_label(names[idx:p])
-        divisors.append(label)
-        if abs(acc) < POLE_EPS:
-            raise PoleError(f"pole divisor hit: {label} = 0")
-        fold /= acc
-    return fold
-
-
-def _closed_power(b: complex, s) -> complex:
-    """b^(s_n+..+s_1) for s listed outermost first; DomainError past the float range."""
+def _closed_power(b: complex, exponent: complex) -> complex:
+    """b^exponent; DomainError past the float range."""
     try:
-        return cmath.exp(sum(reversed(s)) * cmath.log(b))
+        return cmath.exp(exponent * cmath.log(b))
     except OverflowError:
-        raise DomainError(f"closed form ({b:.4g})^({sum(s):.4g}) leaves the float range") from None
+        raise DomainError(f"closed form ({b:.4g})^({exponent:.4g}) leaves the float range") from None
 
 
 def ones_closed_form(b: complex, s_vec) -> complex:
@@ -166,11 +159,11 @@ def ones_closed_form(b: complex, s_vec) -> complex:
     meromorphically continued; poles exactly at vanishing trailing sums."""
     if b == 0:
         raise DomainError("closed form needs b != 0")
-    s = [complex(v) for v in s_vec]
-    if not s:
+    seq = [KernelSpec(None, complex(v)) for v in s_vec][::-1]
+    if not seq:
         raise DomainError("empty exponent list")
-    names = [f"s_{i + 1}" for i in range(len(s))]
-    return _closed_power(b, s) * _trailing_fold(s, names, len(s), [])
+    names = [f"s_{i}" for i in range(len(seq), 0, -1)]
+    return _Side(seq, names, b, None).piece(len(seq), [])[0]
 
 
 def nested_quadrature(spec: IterSpec, a, b: complex, config: NumericsConfig | None = None) -> complex:
@@ -195,96 +188,83 @@ def nested_quadrature(spec: IterSpec, a, b: complex, config: NumericsConfig | No
         builder = lambda n: quad.vertical_panels(b, cfg.height, n, tail=t > 0)
     else:
         builder = lambda n: quad.segment_panels(a, b, n)
-    memo = _KernelMemo()
-    levels = quad.adaptive_iterated([memo.kernel(ks) for ks in reversed(word)], builder, cfg)
-    return _level(levels[-1])[0]
-
-
-class _Side:
-    """One side of the split at b: its slots in path order, innermost first.
-
-    Every piece of the constant-term decomposition on this side is a word
-    seq[:p] (read outermost first), and its quadrature with innermost cusp
-    slot i is the word seq[i+1:p] around cusp(seq[i]).  For a fixed i these
-    are the levels of one sweep [cusp(seq[i]), seq[i+1], ...], so each slot's
-    sweep runs once, when a piece first asks for it.  It stops before the
-    first identically zero slot: the pieces that hold one are 0 and ask
-    nothing."""
-
-    def __init__(self, seq, names, b, config, memo):
-        self.seq = seq
-        self.names = names
-        self.b = b
-        self.config = config
-        self.memo = memo
-        self.builder = lambda n: quad.vertical_panels(b, config.height, n, tail=False)
-        self.stop = next((i for i, ks in enumerate(seq) if _is_zero(ks)), len(seq))
-        self._sweeps = {}
-
-    def quadrature(self, i: int, depth: int):
-        """(value, err) of the piece seq[:i+depth+1] at innermost cusp slot i."""
-        if i not in self._sweeps:
-            seq = self.seq
-            # the trailing constant slots' exponents merge into the cusp slot,
-            # summed outermost first as the piece's own list would be
-            cusp = KernelSpec(cusp_part(seq[i].form), sum(complex(ks.s) for ks in seq[i::-1]))
-            path = [cusp] + seq[i + 1 : self.stop]
-            kernels = [self.memo.kernel(ks) for ks in path]
-            self._sweeps[i] = quad.adaptive_iterated(kernels, self.builder, self.config)
-        return _level(self._sweeps[i][depth])
+    return _Sweeps(builder, cfg).level(word[::-1], len(word) - 1)[0]
 
 
 def _is_zero(ks: KernelSpec) -> bool:
     return ks.form is not None and not any(ks.form.coeffs)
 
 
-def _has_cusp(ks: KernelSpec) -> bool:
-    """True when the slot's cuspidal part is not identically zero."""
-    return ks.form is not None and any(ks.form.coeffs[1:])
+class _Side:
+    """One side of the split at b: its slots in path order, innermost first,
+    and the pieces I_{i-inf}^b(seq[:p]) of the constant-term decomposition.
 
+    Each slot splits as f = f0 + a0.  With the prefix quantities
+        S_i = s(seq[0]) + .. + s(seq[i-1]),
+        T_i = a0(seq[0]) .. a0(seq[i-1]),
+        F_i = 1 / (S_1 S_2 .. S_i),
+    multilinearity gives
+        I(seq[:p]) = T_p b^{S_p} F_p + sum_{i<p} T_i F_i Q_i[p-1-i].
+    The first term is the all-constant closed form.  Term i groups the
+    subsets of cusp-part slots whose innermost slot is i: the constants
+    inside it fold into T_i F_i and merge their exponents into s(seq[i]);
+    the slots outside it range over both f0 and a0, which by multilinearity
+    is the one word with the full forms there.  That word converges toward
+    i-infinity although its outer forms need not decay, because its
+    innermost layer f0 does.  Q_i is the sweep [cusp(seq[i]) at exponent
+    S_{i+1}, seq[i+1], ...] up to the first identically zero slot, whose
+    level p-1-i is that word; so each side runs one adaptive sweep per cusp
+    slot with T_i != 0, whatever the number of pieces.
 
-def _eval_piece(side: _Side, p: int, divisors):
-    """I_{i-inf}^b for the piece side.seq[:p] via the constant-term
-    decomposition.
+    A piece holding an identically zero slot is 0 and consults no divisor.
+    The folds F_i extend as first asked by a term with T != 0: each new
+    partial sum's label goes to divisors, and a vanishing one raises
+    PoleError."""
 
-    Each slot splits as f = f0 + a0.  Expanding the word by multilinearity
-    gives one term per subset D of cusp-part slots, plus the all-constant
-    term, which is the closed form.  Group the subsets by their innermost
-    slot `last`: slots after it hold constants, which fold into the factor
-    prod_{i>last} a0(i) / (s_p (s_p + s_{p-1}) ...) and merge their
-    exponents into s_last; slots before it range over both f0 and a0, and by
-    multilinearity that sum is the one word with the full forms f there.
-    This word converges toward i-infinity although its outer forms do not
-    decay, because its innermost layer f0_last decays exponentially.  Each
-    such word is one level of its slot's sweep (see _Side), so a report runs
-    one adaptive sweep per cusp slot with a nonzero trailing product on each
-    side of the split, whatever the number of pieces.
+    def __init__(self, seq, names, b: complex, sweeps: _Sweeps | None):
+        self.names = names
+        self.b = b
+        self.sweeps = sweeps
+        self.stop = next((i for i, ks in enumerate(seq) if _is_zero(ks)), len(seq))
+        a0 = [_a0(ks) for ks in seq]
+        # each product runs outermost first, as the piece's own list would:
+        # a loaded form's a0 may be a float
+        self.T = [math.prod(reversed(a0[:i])) for i in range(len(seq) + 1)]
+        self.S = list(accumulate((complex(ks.s) for ks in seq), initial=0j))
+        self.folds = [1.0 + 0j]
+        self.words = {}  # Q_i for each slot i with a nonzero cusp part and T_i != 0
+        for i, ks in enumerate(seq[: self.stop]):
+            if ks.form is not None and any(ks.form.coeffs[1:]) and self.T[i] != 0:
+                # the merged exponent is summed outermost first too
+                cusp = KernelSpec(cusp_part(ks.form), sum(complex(k.s) for k in seq[i::-1]))
+                self.words[i] = [cusp] + seq[i + 1 : self.stop]
 
-    Returns (value, error estimate).  Pole guards fire only on terms whose
-    constant-term product is nonzero; a piece holding an identically zero
-    form is 0 and consults no divisor.  The empty piece, p = 0, is the
-    closed form of the empty word: exactly (1, 0), with no divisor.
-    """
-    kernels = side.seq[:p][::-1]
-    names = side.names[:p][::-1]
-    if any(_is_zero(ks) for ks in kernels):
-        return 0j, 0.0
-    s = [complex(ks.s) for ks in kernels]
-    a0 = [_a0(ks) for ks in kernels]
-    total = 0j
-    err = 0.0
-    A = math.prod(a0)
-    if A != 0:
-        total += complex(A) * _closed_power(side.b, s) * _trailing_fold(s, names, p, divisors)
-    for last in range(p):
-        trailing = math.prod(a0[last + 1 :])
-        if not _has_cusp(kernels[last]) or trailing == 0:
-            continue
-        coeff = complex(trailing) * _trailing_fold(s, names, p - 1 - last, divisors)
-        value, qerr = side.quadrature(p - 1 - last, last)
-        total += coeff * value
-        err += abs(coeff) * qerr
-    return total, err
+    def _fold(self, i: int, divisors) -> complex:
+        while len(self.folds) <= i:
+            j = len(self.folds)
+            label = " + ".join(reversed(self.names[:j]))
+            divisors.append(label)
+            if abs(self.S[j]) < POLE_EPS:
+                raise PoleError(f"pole divisor hit: {label} = 0")
+            self.folds.append(self.folds[-1] / self.S[j])
+        return self.folds[i]
+
+    def piece(self, p: int, divisors):
+        """(value, error estimate) of I_{i-inf}^b(seq[:p]); the empty piece is
+        exactly (1, 0), with no divisor."""
+        if p > self.stop:
+            return 0j, 0.0
+        total = 0j
+        err = 0.0
+        if self.T[p] != 0:
+            total += complex(self.T[p]) * _closed_power(self.b, self.S[p]) * self._fold(p, divisors)
+        for i in range(p - 1, -1, -1):
+            if i in self.words:
+                coeff = complex(self.T[i]) * self._fold(i, divisors)
+                value, qerr = self.sweeps.level(self.words[i], p - 1 - i)
+                total += coeff * value
+                err += abs(coeff) * qerr
+        return total, err
 
 
 @dataclass(frozen=True)
@@ -325,21 +305,26 @@ def iterint_report(spec: IterSpec, config: NumericsConfig | None = None) -> Iter
         reflected_names.append(f"s_{i + 1} - {k}" if k else f"s_{i + 1}")
     # the plain pieces f_{m+1}..f_n are prefixes of the word read from the
     # inside, the reflected ones f~_m..f~_1 prefixes of the reflected word
-    memo = _KernelMemo()
-    plain = _Side(list(reversed(kernels)), list(reversed(names)), b, cfg, memo)
-    mirror = _Side(reflected, reflected_names, b, cfg, memo)
+    sweeps = _Sweeps(lambda n: quad.vertical_panels(b, cfg.height, n, tail=False), cfg)
+    plain = _Side(list(reversed(kernels)), list(reversed(names)), b, sweeps)
+    mirror = _Side(reflected, reflected_names, b, sweeps)
 
     divisors: list = []
     total = 0j
     err = 0.0
     for m in range(n + 1):
-        plain_v, plain_err = _eval_piece(plain, n - m, divisors)
+        plain_v, plain_err = plain.piece(n - m, divisors)
         sum_s = sum(ks.s for ks in kernels[:m])
         sum_k = sum(0 if ks.form is None else ks.form.weight for ks in kernels[:m])
-        pref = cmath.exp(1j * cmath.pi * sum_s) * cmath.exp(
-            (-sum_s + sum_k / 2.0) * math.log(N)
-        )
-        inner, inner_err = _eval_piece(mirror, m, divisors)
+        try:
+            pref = cmath.exp(1j * cmath.pi * sum_s) * cmath.exp(
+                (-sum_s + sum_k / 2.0) * math.log(N)
+            )
+        except (OverflowError, ValueError):  # pi * sum_s past the float range ends in a NaN
+            raise DomainError(
+                f"Fricke prefactor at exponent sum {sum_s:.4g} leaves the float range"
+            ) from None
+        inner, inner_err = mirror.piece(m, divisors)
         refl, refl_err = pref * inner, abs(pref) * inner_err
         total += plain_v * refl
         err += abs(plain_v) * refl_err + abs(refl) * plain_err

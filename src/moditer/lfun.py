@@ -85,9 +85,14 @@ def L_direct(spec: LSpec, config: NumericsConfig | None = None, force: bool = Fa
             "pass force=True to sum anyway or use L_continued"
         )
 
-    shells = iterint._shells(spec.forms, spec.s, C)
+    # the prefactor first: an exponent past the float range stops here, named,
+    # before the cascade warns of overflow
     sum_s = sum(complex(v) for v in spec.s)
-    pref = cmath.exp(-sum_s * cmath.log(-2j * cmath.pi))
+    try:
+        pref = cmath.exp(-sum_s * cmath.log(-2j * cmath.pi))
+    except (OverflowError, ValueError):
+        raise DomainError(f"prefactor (-2 pi i)^-({sum_s:.4g}) leaves the float range") from None
+    shells = iterint._shells(spec.forms, spec.s, C)
     value = pref * complex(shells.sum())
 
     mags = np.abs(shells)

@@ -133,10 +133,11 @@ def test_iterint_overflowing_height_exits_one():
     assert "Traceback" not in got.stderr
 
 
-def named_error(*argv) -> str:
-    """stderr of the CLI in a child interpreter, which must end in a named
-    error: exit 1, nothing on stdout, an "error:" line and no traceback."""
-    cmd = [sys.executable, "-m", "moditer.cli", *argv]
+def named_error(*argv, flags=()) -> str:
+    """stderr of the CLI in a child interpreter (run with the interpreter
+    flags given), which must end in a named error: exit 1, nothing on stdout,
+    an "error:" line and no traceback."""
+    cmd = [sys.executable, *flags, "-m", "moditer.cli", *argv]
     got = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
     assert (got.returncode, got.stdout) == (1, ""), got.stderr
     assert got.stderr.startswith("error: ") and "Traceback" not in got.stderr
@@ -157,6 +158,31 @@ def test_loaded_coefficient_outside_float_range(tmp_path, argv):
 
 def test_closed_form_overflow_exits_one():
     assert "leaves the float range" in named_error("iterint", "G", "--s", "-1e308")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("iterint", "delta", "--s", "-1e308"),
+     "error: Fricke prefactor at exponent sum -1e+308+0j leaves the float range\n"),
+    (("lvalue", "delta", "--s", "8+1e308j"),
+     "error: prefactor (-2 pi i)^-(8+1e+308j) leaves the float range\n"),
+])
+def test_prefactor_overflow_is_named(argv, message):
+    # under -W error a numpy warning on the way would end in a traceback
+    assert named_error(*argv, flags=("-W", "error")) == message
+
+
+def test_qexp_prints_integers_only_for_integral_coefficients(capsys):
+    # past 2^53 every float is integral, so a_18.. of E12 (denominator 691)
+    # must still print as 15-digit floats, not as the floor of their value
+    e12 = forms.builtin("E12", 40)
+    code, rep = run_json(capsys, "qexp", "E12", "--order", "40")
+    got = rep["data"]["coeffs"]
+    assert code == 0 and got[0] == 1 and type(got[0]) is int
+    assert all(type(c) is float and c == float(f"{float(a):.15g}")
+               for c, a in zip(got[1:], e12.coeffs[1:]))
+    assert got[40] == 3.97894434475929e19
+    code, rep = run_json(capsys, "qexp", "delta", "--order", "1000")
+    assert code == 0 and rep["data"]["coeffs"][1000] == -30328412970240000
 
 
 def test_qexp_prints_complex_coefficient_as_pair(capsys, tmp_path):

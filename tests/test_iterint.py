@@ -70,10 +70,12 @@ def test_ones_examples():
 
 
 def test_ones_pole_names_divisor():
-    with pytest.raises(PoleError, match=r"s_1 \+ s_2"):
-        ones_closed_form(1j, (1, -1))
-    with pytest.raises(PoleError, match="s_2"):
-        ones_closed_form(1j, (-1, 0))
+    # the full message: a substring match would let "s_1 + s_2" pass for "s_2"
+    for s, label in [((1, -1), "s_1 + s_2"), ((-1, 0), "s_2"), ((2, -1, -1), "s_1 + s_2 + s_3"),
+                     ((1, -1, 0), "s_3"), ((0, 1, -1), "s_2 + s_3"), ((-2, 1, 1), "s_1 + s_2 + s_3")]:
+        with pytest.raises(PoleError) as hit:
+            ones_closed_form(1j, s)
+        assert str(hit.value) == f"pole divisor hit: {label} = 0"
 
 
 def test_ones_overflow_is_named():
@@ -366,12 +368,89 @@ def test_zero_form_piece_consults_no_divisor(e4_200):
     forms._set_fricke(zero, zero)
     divisors = []
     kernels = make_spec([(e4_200, 2.5), (zero, 1.5)]).kernels
-    side = iterint._Side(list(reversed(kernels)), ["s_2", "s_1"], 1j, CFG, iterint._KernelMemo())
-    assert iterint._eval_piece(side, 2, divisors) == (0, 0.0)
+    side = iterint._Side(list(reversed(kernels)), ["s_2", "s_1"], 1j, None)
+    assert side.piece(2, divisors) == (0, 0.0)
     assert divisors == []
     # only the plain piece (E4; s_2) is nonzero and consults a divisor
     rep = iterint.iterint_report(make_spec([(zero, 1.5), (e4_200, 2.5)]), CFG)
     assert rep.value == 0 and rep.divisors == ("s_2",)
+
+
+def _zero_form(level, weight):
+    zero = forms.ModularForm(level, weight, f"zero{level}", (0,) * 65)
+    forms._set_fricke(zero, zero)
+    return zero
+
+
+ZERO_FORMS = {"Z": (1, 4), "Z4": (4, 2)}
+
+# The full divisors tuple, or the full PoleError message, of reports with
+# constant slots, zero forms and partial sums exactly on 0, computed where
+# each term rebuilt its own fold: the lazy folds must keep that first-seen
+# order and that first pole.  A substring match would let "s_1 + s_2" pass
+# for "s_1".
+POLE_WORDS = [
+    (((1, 2.0), ("E4", 2.0)), "pole divisor hit: s_2 - 4 + s_1 = 0"),
+    ((("E4", 1.5), (1, -1.5)), "pole divisor hit: s_1 + s_2 = 0"),
+    (((1, 1.0), (1, -1.0), ("delta", 3.0)), "pole divisor hit: s_2 + s_1 = 0"),
+    ((("Z", 1.5), (1, -2.0)), ("s_2",)),
+    ((("E4", 2.5), ("Z", 1.5), (1, -2.0)), ("s_1 - 4", "s_3")),
+    ((("E4", 4.0),), "pole divisor hit: s_1 - 4 = 0"),
+    ((("E4", 2.0), ("E6", -2.0)), "pole divisor hit: s_1 + s_2 = 0"),
+    ((("delta", 12.0),), ()),
+    (((1, 1.0), ("delta", -1.0)), ("s_1",)),
+    ((("E4", 4.0), (1, 1.0), ("E6", 2.0)), "pole divisor hit: s_1 - 4 = 0"),
+    ((("E6", 3.0), ("E4", 3.0), (1, -3.0)), "pole divisor hit: s_2 + s_3 = 0"),
+    ((("E4", 2.0), ("Z", 2.0), ("E6", 3.0)), ("s_1 - 4", "s_3")),
+    (((1, 0.5), ("E4", 2.5), (1, 1.0), ("delta", 6.0)),
+     "pole divisor hit: s_3 + s_2 - 4 + s_1 = 0"),
+    ((("G", 1.0), (1, 1.0), ("F", 2.0)), "pole divisor hit: s_2 + s_1 - 2 = 0"),
+    ((("G", 2.0), (1, -1.0)), "pole divisor hit: s_1 - 2 = 0"),
+    ((("F", 1.0), ("Z4", 1.0), ("G", 0.5)), ("s_1 - 2", "s_3")),
+    (((1, -1.0), ("G", 3.0), (1, 1.0)), "pole divisor hit: s_2 - 2 + s_1 = 0"),
+    (((1, 0.5), ("E4", 2.5), (1, 1.5), ("delta", 6.0)),
+     ("s_1", "s_2 - 4 + s_1", "s_3 + s_2 - 4 + s_1")),
+    ((("E4", 2.2), (1, 0.7), ("E6", 3.3), (1, -0.4)),
+     ("s_4", "s_3 + s_4", "s_2 + s_3 + s_4", "s_1 + s_2 + s_3 + s_4", "s_1 - 4",
+      "s_2 + s_1 - 4", "s_3 - 6 + s_2 + s_1 - 4", "s_4 + s_3 - 6 + s_2 + s_1 - 4")),
+    ((("G", 0.5 + 0.3j), (1, 1.2), ("F", 1.7)),
+     ("s_1 - 2", "s_2 + s_1 - 2", "s_3 - 2 + s_2 + s_1 - 2")),
+    (((1, 1.5), (1, -0.5), ("E4", 1.0), ("Z", 2.0)), ("s_1", "s_2 + s_1", "s_3 - 4 + s_2 + s_1")),
+]
+
+
+@pytest.mark.parametrize("word, want", POLE_WORDS)
+def test_report_divisors_and_poles_pinned(word, want):
+    zeros = {name: _zero_form(*lw) for name, lw in ZERO_FORMS.items()}
+    entries = [(1 if n == 1 else zeros[n] if n in zeros else forms.builtin(n, 64), s) for n, s in word]
+    spec = make_spec(entries, 4 if {"F", "G", "Z4"} & {n for n, _ in word} else 1)
+    if isinstance(want, str):
+        with pytest.raises(PoleError) as hit:
+            iterint.iterint_report(spec, CFG)
+        assert str(hit.value) == want
+    else:
+        assert iterint.iterint_report(spec, CFG).divisors == want
+
+
+def test_sweep_table_serves_a_stored_prefix(monkeypatch, e4_200, delta2100):
+    calls = []
+    adaptive = iterint.quad.adaptive_iterated
+    monkeypatch.setattr(iterint.quad, "adaptive_iterated", lambda *a: calls.append(a) or adaptive(*a))
+    builder = lambda n: iterint.quad.vertical_panels(1j, CFG.height, n, tail=False)
+    KS = iterint.KernelSpec
+    word = [KS(forms.cusp_part(e4_200), 2.5 + 0j), KS(e4_200, 1.5 + 0j), KS(None, -0.5 + 0j)]
+    sweeps = iterint._Sweeps(builder, CFG)
+    levels = [sweeps.level(word, j) for j in (2, 1, 0)][::-1]
+    # a prefix asked on its own, in new KernelSpecs, is read from the table
+    again = [sweeps.level([KS(ks.form, ks.s) for ks in word[: j + 1]], j) for j in range(3)]
+    assert len(calls) == 1 and len(calls[0][0]) == 3
+    fresh = [iterint._Sweeps(builder, CFG).level(word[: j + 1], j) for j in range(3)]
+    bits = lambda got: [(_bits(v), e.hex()) for v, e in got]
+    assert bits(levels) == bits(again) == bits(fresh)
+    # a word that leaves the stored prefix sweeps anew
+    before = len(calls)
+    sweeps.level([word[0], KS(delta2100, 1.5 + 0j)], 1)
+    assert len(calls) == before + 1
 
 
 def test_height_guard(delta2100):

@@ -1,45 +1,18 @@
 """Numerical configuration shared by the quadrature and series code.
 
-Resolution order for every field: explicit keyword > environment variable
-> built-in default.  Environment variables are read once, when the config
-object is constructed, so a long-running process sees a stable snapshot.
+A NumericsConfig is a plain value: its defaults are the literals below, and
+building one reads nothing from the process.  Library calls take one as an
+argument and default to NumericsConfig(); only the command line reads
+environment variables into it (see cli._config_from).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError
-
-_ENV_PREFIX = "MODITER_"
-
-# field name -> (env suffix, parser)
-_ENV_MAP = {
-    "order": ("ORDER", int),
-    "height": ("HEIGHT", float),
-    "panels": ("PANELS", int),
-    "tol": ("TOL", float),
-    "cutoff": ("CUTOFF", int),
-}
-
-
-def _env_default(name: str, fallback):
-    def factory():
-        suffix, parse = _ENV_MAP[name]
-        raw = os.environ.get(_ENV_PREFIX + suffix)
-        if raw is None:
-            return fallback
-        try:
-            return parse(raw)
-        except ValueError as exc:
-            raise DomainError(
-                f"bad value for {_ENV_PREFIX}{suffix}: {raw!r}"
-            ) from exc
-
-    return field(default_factory=factory)
 
 
 @dataclass(frozen=True)
@@ -55,11 +28,11 @@ class NumericsConfig:
     cutoff    -- default number of terms for Dirichlet-type series
     """
 
-    order: int = _env_default("order", 64)
-    height: float = _env_default("height", 12.0)
-    panels: int = _env_default("panels", 16)
-    tol: float = _env_default("tol", 1e-8)
-    cutoff: int = _env_default("cutoff", 2000)
+    order: int = 64
+    height: float = 12.0
+    panels: int = 16
+    tol: float = 1e-8
+    cutoff: int = 2000
 
     def __post_init__(self):
         if self.order < 1:
@@ -75,4 +48,3 @@ class NumericsConfig:
 
     def replace(self, **kwargs) -> "NumericsConfig":
         return dataclasses.replace(self, **kwargs)
-

@@ -154,23 +154,22 @@ def _tail_bound(f: ModularForm, y: float) -> float:
     return 0.0
 
 
-def evaluate_at_with_tail(f: ModularForm, z: complex, config: NumericsConfig | None = None):
+def evaluate_at_with_tail(f: ModularForm, z: complex, config: NumericsConfig = NumericsConfig()):
     """(value, heuristic tail bound |a_j| e^{-2 pi j Im z} at the last nonzero
     stored term); raises TruncationError when it exceeds the tolerance."""
     if z.imag <= 0:
         raise DomainError("evaluation requires Im z > 0")
-    cfg = config if config is not None else NumericsConfig()
     value = complex(evaluate_many(f, [z])[0])
     tail = _tail_bound(f, z.imag)
-    if tail > cfg.tol:
+    if tail > config.tol:
         raise TruncationError(
             f"tail bound {tail:.3e} at Im z = {z.imag:.4g} exceeds tolerance "
-            f"{cfg.tol:.1e}; raise the order or reflect toward i*infinity"
+            f"{config.tol:.1e}; raise the order or reflect toward i*infinity"
         )
     return value, tail
 
 
-def evaluate_at(f: ModularForm, z: complex, config: NumericsConfig | None = None) -> complex:
+def evaluate_at(f: ModularForm, z: complex, config: NumericsConfig = NumericsConfig()) -> complex:
     return evaluate_at_with_tail(f, z, config)[0]
 
 
@@ -235,7 +234,7 @@ def evaluate_many(f: ModularForm, zs: np.ndarray) -> np.ndarray:
     return evaluate_series(f._np_coeffs, zs)
 
 
-def fricke_evaluate(f: ModularForm, z: complex, config: NumericsConfig | None = None) -> complex:
+def fricke_evaluate(f: ModularForm, z: complex, config: NumericsConfig = NumericsConfig()) -> complex:
     """f|omega_N at z: N^{-k/2} z^{-k} f(-1/(Nz))."""
     if f.chi != "trivial":
         raise DomainError("Fricke reflection implemented for trivial character only")
@@ -297,8 +296,11 @@ def load_form(path) -> ModularForm:
     coeffs = data["coeffs"]
     if not isinstance(coeffs, list) or not coeffs:
         raise DomainError(f"form file {path} has an empty coefficient list")
+    level = _int_field(data, "level", path)
+    if level < 1:
+        raise DomainError(f"form file {path}: field 'level' must be a positive integer")
     return ModularForm(
-        _int_field(data, "level", path),
+        level,
         _int_field(data, "weight", path),
         str(data.get("label", "ingested")),
         tuple(_decode_coeff(c, path, n) for n, c in enumerate(coeffs)),

@@ -166,9 +166,9 @@ def ones_closed_form(b: complex, s_vec) -> complex:
     return _Side(seq, names, b, None).piece(len(seq), [])[0]
 
 
-def nested_quadrature(spec: IterSpec, a, b: complex, config: NumericsConfig | None = None) -> complex:
+def nested_quadrature(spec: IterSpec, a, b: complex,
+                      config: NumericsConfig = NumericsConfig()) -> complex:
     """Direct numerical evaluation of I_a^b(spec); a may be IINF."""
-    cfg = config if config is not None else NumericsConfig()
     word = spec.kernels
     if a is IINF:
         # count innermost layers with no exponential decay; they need the
@@ -185,10 +185,10 @@ def nested_quadrature(spec: IterSpec, a, b: complex, config: NumericsConfig | No
                     f"integral to i-infinity diverges: trailing exponent sum "
                     f"{acc:.4g} has nonnegative real part"
                 )
-        builder = lambda n: quad.vertical_panels(b, cfg.height, n, tail=t > 0)
+        builder = lambda n: quad.vertical_panels(b, config.height, n, tail=t > 0)
     else:
         builder = lambda n: quad.segment_panels(a, b, n)
-    return _Sweeps(builder, cfg).level(word[::-1], len(word) - 1)[0]
+    return _Sweeps(builder, config).level(word[::-1], len(word) - 1)[0]
 
 
 def _is_zero(ks: KernelSpec) -> bool:
@@ -274,7 +274,7 @@ class IterReport:
     divisors: tuple
 
 
-def iterint_report(spec: IterSpec, config: NumericsConfig | None = None) -> IterReport:
+def iterint_report(spec: IterSpec, config: NumericsConfig = NumericsConfig()) -> IterReport:
     """I_{i-inf}^0(spec) with error estimate and the pole divisors consulted.
 
     The path splits at b = i/sqrt(N).  The inner block f_{m+1}..f_n runs to
@@ -284,9 +284,8 @@ def iterint_report(spec: IterSpec, config: NumericsConfig | None = None) -> Iter
     with the prefactor
     e^{i pi (s_1+..+s_m)} N^{-(s_1+..+s_m) + (k_1+..+k_m)/2}.
     """
-    cfg = config if config is not None else NumericsConfig()
     N = spec.level
-    if cfg.height <= 1.0 / math.sqrt(N):
+    if config.height <= 1.0 / math.sqrt(N):
         raise DomainError("quadrature height must exceed 1/sqrt(level)")
     b = 1j / math.sqrt(N)
     kernels = spec.kernels
@@ -305,7 +304,7 @@ def iterint_report(spec: IterSpec, config: NumericsConfig | None = None) -> Iter
         reflected_names.append(f"s_{i + 1} - {k}" if k else f"s_{i + 1}")
     # the plain pieces f_{m+1}..f_n are prefixes of the word read from the
     # inside, the reflected ones f~_m..f~_1 prefixes of the reflected word
-    sweeps = _Sweeps(lambda n: quad.vertical_panels(b, cfg.height, n, tail=False), cfg)
+    sweeps = _Sweeps(lambda n: quad.vertical_panels(b, config.height, n, tail=False), config)
     plain = _Side(list(reversed(kernels)), list(reversed(names)), b, sweeps)
     mirror = _Side(reflected, reflected_names, b, sweeps)
 
@@ -331,11 +330,11 @@ def iterint_report(spec: IterSpec, config: NumericsConfig | None = None) -> Iter
     return IterReport(complex(total), err, tuple(dict.fromkeys(divisors)))  # first-seen order
 
 
-def iterint_full(spec: IterSpec, config: NumericsConfig | None = None) -> complex:
+def iterint_full(spec: IterSpec, config: NumericsConfig = NumericsConfig()) -> complex:
     return iterint_report(spec, config).value
 
 
-def completed_Z(spec: IterSpec, config: NumericsConfig | None = None) -> complex:
+def completed_Z(spec: IterSpec, config: NumericsConfig = NumericsConfig()) -> complex:
     """Z = N^{(s_1+..+s_n)/2} I_{i-inf}^0."""
     sum_s = sum(ks.s for ks in spec.kernels)
     scale = cmath.exp(sum_s / 2.0 * math.log(spec.level))
@@ -376,7 +375,7 @@ def _shells(word, exps, cutoff: int) -> np.ndarray:
     return acc
 
 
-def tilde_I_fourier(spec: IterSpec, z: complex, config: NumericsConfig | None = None) -> complex:
+def tilde_I_fourier(spec: IterSpec, z: complex, config: NumericsConfig = NumericsConfig()) -> complex:
     """Fourier-series value of the shifted integral I-tilde at z.
 
     The word must consist of constant-1 slots and cuspidal forms with
@@ -385,7 +384,6 @@ def tilde_I_fourier(spec: IterSpec, z: complex, config: NumericsConfig | None = 
     exponent sums its own exponent and those of the 1-slots just before it;
     the shells come from _shells, the cascade L_direct sums.
     """
-    cfg = config if config is not None else NumericsConfig()
     kernels = spec.kernels
     alphas = []
     for ks in kernels:
@@ -403,7 +401,7 @@ def tilde_I_fourier(spec: IterSpec, z: complex, config: NumericsConfig | None = 
     form_slots = [i for i, ks in enumerate(kernels) if ks.form is not None]
     starts = [0] + [i + 1 for i in form_slots[:-1]]
     exps = [sum(alphas[a : b + 1]) for a, b in zip(starts, form_slots)]
-    acc = _shells([kernels[i].form for i in form_slots], exps, cfg.order)
+    acc = _shells([kernels[i].form for i in form_slots], exps, config.order)
     gamma_factor = (-1) ** len(kernels) * math.prod(math.factorial(a - 1) for a in alphas)
     total_alpha = sum(alphas)
     series = complex(evaluate_series(acc, [z])[0])  # sum_{t>=1} acc[t] q^t; acc[0] = 0

@@ -52,7 +52,6 @@ class LSpec:
 class LValue:
     value: complex
     tail_estimate: float
-    last_shell: complex
 
 
 def _growth_exponent(f: ModularForm) -> float:
@@ -69,9 +68,8 @@ def convergence_threshold(spec: LSpec) -> float:
     return need
 
 
-def L_direct(spec: LSpec, config: NumericsConfig | None = None, force: bool = False) -> LValue:
-    cfg = config if config is not None else NumericsConfig()
-    C = cfg.cutoff
+def L_direct(spec: LSpec, config: NumericsConfig = NumericsConfig(), force: bool = False) -> LValue:
+    C = config.cutoff
     for f in spec.forms:
         if f.order < C:
             raise TruncationError(
@@ -107,7 +105,7 @@ def L_direct(spec: LSpec, config: NumericsConfig | None = None, force: bool = Fa
     else:
         decay = math.log(lo / hi) / math.log(2.0)  # window centers differ by x2
         tail = math.inf if decay <= 0 else 2.0 * base * C / max(1.0, decay - 1.0)
-    return LValue(value, abs(pref) * tail if tail != math.inf else tail, pref * last)
+    return LValue(value, abs(pref) * tail if tail != math.inf else tail)
 
 
 def _evaluate_terms(tl, word_forms, s0: complex, value) -> complex:
@@ -125,25 +123,24 @@ def _evaluate_terms(tl, word_forms, s0: complex, value) -> complex:
     return total
 
 
-def evaluate_L_terms(tl, word_forms, s0: complex, config=None, force: bool = False) -> complex:
+def evaluate_L_terms(tl, word_forms, s0: complex, config: NumericsConfig = NumericsConfig(),
+                     force: bool = False) -> complex:
     """Numeric value of Terms whose targets are multiple L-values."""
-    cfg = config if config is not None else NumericsConfig()
     return _evaluate_terms(
         tl, word_forms, s0,
-        lambda sub, args: L_direct(LSpec(tuple(sub), args), cfg, force=force).value,
+        lambda sub, args: L_direct(LSpec(tuple(sub), args), config, force=force).value,
     )
 
 
-def evaluate_I_terms(tl, word_forms, s0: complex, config=None) -> complex:
+def evaluate_I_terms(tl, word_forms, s0: complex, config: NumericsConfig = NumericsConfig()) -> complex:
     """Numeric value of Terms whose targets are iterated integrals."""
-    cfg = config if config is not None else NumericsConfig()
     return _evaluate_terms(
         tl, word_forms, s0,
-        lambda sub, args: iterint.iterint_full(iterint.make_spec(list(zip(sub, args))), cfg),
+        lambda sub, args: iterint.iterint_full(iterint.make_spec(list(zip(sub, args))), config),
     )
 
 
-def L_continued(forms, s: complex, alphas, config: NumericsConfig | None = None) -> complex:
+def L_continued(forms, s: complex, alphas, config: NumericsConfig = NumericsConfig()) -> complex:
     """Meromorphic continuation of L(f_1..f_n; s, a_2..a_n) to any s off the
     pole divisors, via the iterated-integral expansion."""
     tl = identities.thS_expand(list(forms), tuple(alphas))

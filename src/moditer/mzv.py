@@ -185,12 +185,11 @@ def _interval_panels(eps: float, n: int):
     return low + high
 
 
-def p1_word_integral(flags, config: NumericsConfig | None = None, eps: float = 1e-10) -> float:
+def p1_word_integral(flags, config: NumericsConfig = NumericsConfig(), eps: float = 1e-10) -> float:
     """Iterated integral of the word over the unit interval, flags as in
     ``_word_flags``.  The interval is trimmed to [eps, 1-eps] with panels
     clustering at both ends; a two-point Richardson step in eps removes the
     leading trim error."""
-    cfg = config if config is not None else NumericsConfig()
     flags = list(flags)
     if not flags:
         return 1.0
@@ -201,7 +200,7 @@ def p1_word_integral(flags, config: NumericsConfig | None = None, eps: float = 1
     kernels = [
         (lambda z: 1.0 / (1.0 - z)) if f == 1 else (lambda z: 1.0 / z) for f in flags
     ]
-    n = max(48, cfg.panels)
+    n = max(48, config.panels)
 
     def value(e):
         return iterated_integral(kernels, _interval_panels(e, n), GL_ORDER)[-1]
@@ -210,7 +209,7 @@ def p1_word_integral(flags, config: NumericsConfig | None = None, eps: float = 1
     return (2 * fine - coarse).real
 
 
-def mzv_p1_integral(idx: MzvIndex, config: NumericsConfig | None = None) -> float:
+def mzv_p1_integral(idx: MzvIndex, config: NumericsConfig = NumericsConfig()) -> float:
     return p1_word_integral(_word_flags(idx), config)
 
 
@@ -231,7 +230,8 @@ def _level4_pair():
     return f, gm
 
 
-def modular_raw_integral(idx: MzvIndex, config: NumericsConfig | None = None) -> iterint.IterReport:
+def modular_raw_integral(idx: MzvIndex,
+                         config: NumericsConfig = NumericsConfig()) -> iterint.IterReport:
     """The pullback integral along the vertical geodesic before the
     (2 pi i)^w 16^d normalization, as an iterint report.
 
@@ -257,5 +257,5 @@ def _zeta_from_report(idx: MzvIndex, report: iterint.IterReport):
     return value.real, abs(pref) * report.err_estimate + abs(value.imag)
 
 
-def mzv_modular_integral(idx: MzvIndex, config: NumericsConfig | None = None) -> float:
+def mzv_modular_integral(idx: MzvIndex, config: NumericsConfig = NumericsConfig()) -> float:
     return _zeta_from_report(idx, modular_raw_integral(idx, config))[0]

@@ -1,6 +1,16 @@
+import os
+
 import pytest
 
 from moditer import forms
+
+
+@pytest.fixture(autouse=True)
+def _no_moditer_env(monkeypatch):
+    """Run every test without the developer's MODITER_* variables, which the
+    CLI reads; child processes copy this scrubbed os.environ."""
+    for name in [k for k in os.environ if k.startswith("MODITER_")]:
+        monkeypatch.delenv(name)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ mathematical content is covered by the library test modules.
 """
 
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -99,6 +100,11 @@ def test_exit_codes(capsys):
         ("qexp", "F", "--height", "inf"),
         ("lvalue", "G", "--s", "1", "--force", "--output", "csv"),
         ("iterint", "E2", "--s", "1.5"),  # quasimodular: no Fricke companion
+        ("lvalue", "delta", "delta", "--s", "8"),
+        ("iterint", "G", "F", "--s", "1"),
+        ("mzv", "--index", "2,x"),
+        ("qexp", "F", "--order", "0"),
+        ("lvalue", "delta", "--s", "8", "--cutoff", "0"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, ""), argv
@@ -287,6 +293,23 @@ def test_mzv_modular_err_bounds_error(capsys, index, want):
     assert code == 0
     (v,) = rep["values"]
     assert v["err"] >= abs(complex(*v["value"]) - want)
+
+
+@pytest.mark.parametrize("index,cutoff", [("2", "16"), ("2,1", "17"), ("2,1,1", "31")])
+def test_mzv_series_refuses_a_cutoff_below_32(capsys, index, cutoff):
+    # err is the change against a rerun at half the cutoff, and mzv_series
+    # needs a cutoff of at least 16: below 32 the rerun cannot be made
+    code, out, err = run_cli(capsys, "mzv", "--index", index, "--cutoff", cutoff)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: mzv --method series needs cutoff >= 32, got {cutoff}: ")
+
+
+@pytest.mark.parametrize("index,want", [("2", math.pi**2 / 6), ("2,1", ZETA3)])
+def test_mzv_series_err_bounds_error_at_cutoff_32(capsys, index, want):
+    code, rep = run_json(capsys, "mzv", "--index", index, "--cutoff", "32")
+    assert code == 0
+    (v,) = rep["values"]
+    assert v["err"] >= abs(v["value"][0] - want) > 0
 
 
 def test_mzv_modular_runs_the_pullback_once(capsys, monkeypatch):

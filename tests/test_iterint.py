@@ -271,6 +271,19 @@ def test_report_bits_pinned(word, value, err, divisors):
     assert (_bits(rep.value), rep.err_estimate.hex(), rep.divisors) == (value, err, divisors)
 
 
+def test_library_ignores_moditer_env(monkeypatch):
+    # only the CLI reads MODITER_*: a library value depends on its arguments
+    spec = make_spec([(forms.builtin("delta", 64), 8.0)])
+    want = iterint.iterint_report(spec)
+    monkeypatch.setenv("MODITER_PANELS", "4")
+    monkeypatch.setenv("MODITER_TOL", "junk")
+    literal = NumericsConfig(order=64, height=12.0, panels=16, tol=1e-8, cutoff=2000)
+    assert NumericsConfig() == literal
+    got = iterint.iterint_report(spec)
+    assert _bits(got.value) == _bits(want.value)
+    assert got.err_estimate.hex() == want.err_estimate.hex()
+
+
 def test_mzv_pullback_and_shuffle_word_bits_pinned():
     rep = mzv.modular_raw_integral(mzv.MzvIndex((2, 1, 1)), PINNED_CFG)
     assert (_bits(rep.value), rep.err_estimate.hex(), rep.divisors) == (

@@ -67,7 +67,9 @@ def test_tail_estimate_honest(delta6000):
     a = lfun.L_direct(lfun.LSpec((delta6000,), (8.0,)), CFG)
     b = lfun.L_direct(lfun.LSpec((delta6000,), (8.0,)), CFG.replace(cutoff=4000))
     assert abs(a.value - b.value) <= a.tail_estimate
-    assert abs(a.last_shell) < a.tail_estimate
+    # the last summed term, |(-2 pi i)^-8 shell[cutoff]|, lies inside the estimate
+    last = abs(iterint._shells((delta6000,), (8.0,), CFG.cutoff)[-1]) / (2 * math.pi) ** 8
+    assert last < a.tail_estimate
 
 
 def test_continuation_matches_direct_sum(delta2100):

@@ -208,10 +208,10 @@ def test_load_errors(tmp_path):
     [
         ({"level": 1, "weight": "x", "coeffs": [0, 1]}, "'weight'"),
         ({"level": [4], "weight": 2, "coeffs": [0, 1]}, "'level'"),
-        ({"level": 0, "weight": 12, "coeffs": [0, 1]}, "'level'"),
         (5, "'level'"),
         ({"level": 1, "weight": 12, "coeffs": [0, True]}, "coeffs[1]"),
         ({"level": 1, "weight": 12, "coeffs": [0, [1, False]]}, "coeffs[1]"),
+        ({"level": 0, "weight": 12, "coeffs": [0, 1]}, "'level'"),
     ],
 )
 def test_load_names_malformed_field(tmp_path, payload, field):

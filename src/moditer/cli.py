@@ -136,7 +136,8 @@ class _Parser(argparse.ArgumentParser):
 _KNOBS = (
     ("order", int, "q-expansion truncation order"),
     ("height", float, "height cutoff for i-infinity"),
-    ("panels", int, "quadrature panels per segment"),
+    ("panels", int, "quadrature panels on the main path section (geometric on "
+                    "the vertical descent, uniform on a segment); doubled at most 3 times"),
     ("tol", float, "target quadrature accuracy"),
     ("cutoff", int, "Dirichlet series cutoff"),
 )
@@ -229,6 +230,9 @@ def _registry(ns) -> dict:
 def _resolve(name: str, reg: dict, order: int):
     if name in reg:
         return reg[name]
+    if name.startswith("E") and name[1:].isdigit():
+        # the E<k> family names its own errors: odd weight, or past the cap
+        return forms.builtin(name, order)
     try:
         return forms.builtin(name, order)
     except DomainError:

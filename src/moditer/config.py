@@ -21,16 +21,18 @@ class NumericsConfig:
 
     order     -- default q-expansion truncation order
     height    -- imaginary part where "i*infinity" is cut off / panels stop
-    panels    -- number of quadrature panels on the main path segment, where
-                 the adaptive quadrature starts; it doubles them at most three
-                 times, so the default 16 stalls past 128
+    panels    -- number of quadrature panels on the main path section, where
+                 the adaptive quadrature starts: a geometric chain on the
+                 vertical descent from height to i/sqrt(N), uniform panels on
+                 a finite segment; it doubles them at most three times, so the
+                 default 6 stalls past 48
     tol       -- target absolute accuracy for quadrature results
     cutoff    -- default number of terms for Dirichlet-type series
     """
 
     order: int = 64
     height: float = 12.0
-    panels: int = 16
+    panels: int = 6
     tol: float = 1e-8
     cutoff: int = 2000
 

@@ -106,13 +106,17 @@ class _Sweeps:
     word[:j+1] alone (see quad), so a word whose prefix is stored runs no new
     sweep.  Per grid the table takes log z once, evaluate_many once per form
     and f z^{s-1} once per (form, s), each with the expression of a lone
-    kernel evaluation, so every array is bit-identical to one."""
+    kernel evaluation, so every array is bit-identical to one.  A grid is
+    keyed by the identity of its node array, which quad builds once per panel
+    chain, caches and keeps read-only; the table holds every array it keys,
+    so no other array can take its id while the table lives, even after
+    quad's cache drops the grid."""
 
     def __init__(self, builder, config: NumericsConfig):
         self.builder = builder
         self.config = config
         self._levels = {}  # prefix key -> (value, err), or the AccuracyError it stalled at
-        self._grids = {}  # node bytes -> {"log": log z, id(form): f(z), (id(form), s): kernel}
+        self._grids = {}  # id(z) -> {"z": z, "log": log z, id(form): f(z), (id(form), s): kernel}
         self._forms = {}  # id -> form: keeps every id-keyed form alive while the table is
 
     def level(self, word, depth: int):
@@ -134,11 +138,11 @@ class _Sweeps:
         return lambda z: self._value(form, s, z)
 
     def _value(self, form, s, z):
-        grid = self._grids.setdefault(z.tobytes(), {})
+        grid = self._grids.get(id(z))
+        if grid is None:
+            grid = self._grids[id(z)] = {"z": z, "log": np.log(z)}
         key = (id(form), s)
         if key not in grid:
-            if "log" not in grid:
-                grid["log"] = np.log(z)
             power = np.exp((s - 1) * grid["log"])
             if form is not None and id(form) not in grid:
                 grid[id(form)] = evaluate_many(form, z)

@@ -236,10 +236,22 @@ def _sigma_table(k: int, m: int):
 
 # -- built-in q-expansions --------------------------------------------------
 
+# The last weight whose multiplier -2k/B_k is a normal float: 2.28e-307 at
+# k = 260, subnormal from k = 262 on (|B_k| grows like k! / (2 pi)^k).  Past
+# it every coefficient a_n with n small prints as 0.0, and B_k alone costs
+# O(k^2) Fraction steps (B_1600 takes seconds).
+EISENSTEIN_MAX_WEIGHT = 260
+
+
 def eisenstein_series(k: int, l: int, order: int) -> QSeries:
     """E_k(lz) to the given order: 1 - (2k/B_k) sum sigma_{k-1}(n) q^{ln}."""
     if k < 2 or k % 2:
         raise DomainError("Eisenstein series need even k >= 2")
+    if k > EISENSTEIN_MAX_WEIGHT:
+        raise DomainError(
+            f"Eisenstein series need k <= {EISENSTEIN_MAX_WEIGHT}, got {k}: past it the "
+            "multiplier -2k/B_k is below the normal float range"
+        )
     if l < 1:
         raise DomainError("eisenstein_series needs l >= 1")
     c = _norm(Fraction(-2 * k) / bernoulli(k))  # an int when 2k/B_k is integral

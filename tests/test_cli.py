@@ -134,7 +134,7 @@ def test_iterint_overflowing_height_exits_one():
            "--s", "8", "--height", "1e300"]
     got = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
     assert (got.returncode, got.stdout) == (1, "")
-    assert "error: quadrature stalled at 128 panels with error estimate inf" in got.stderr
+    assert "error: quadrature stalled at 48 panels with error estimate inf" in got.stderr
     assert "RuntimeWarning" not in got.stderr
     assert "Traceback" not in got.stderr
 
@@ -150,9 +150,17 @@ def named_error(*argv, flags=()) -> str:
     return got.stderr
 
 
-@pytest.mark.parametrize("argv", [("qexp", "E400", "--order", "1000"), ("eval", "E400", "--z", "1j")])
+@pytest.mark.parametrize("argv", [("qexp", "E260", "--order", "1000"),
+                                  ("eval", "E260", "--z", "1j", "--order", "1000")])
 def test_builtin_coefficient_outside_float_range(argv):
-    assert "form 'E400': coefficient a_140 leaves the float range" in named_error(*argv)
+    assert "form 'E260': coefficient a_237 leaves the float range" in named_error(*argv)
+
+
+def test_eisenstein_above_the_weight_cap_exits_one():
+    # refused before B_800 is computed, which alone took about a second
+    assert named_error("qexp", "E800", "--order", "3") == (
+        "error: Eisenstein series need k <= 260, got 800: past it the multiplier "
+        "-2k/B_k is below the normal float range\n")
 
 
 @pytest.mark.parametrize("argv", [("qexp", "huge"), ("eval", "huge", "--z", "1j")])

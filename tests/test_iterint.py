@@ -242,21 +242,25 @@ def test_multilinear_fold_one_quadrature_per_cusp_slot(monkeypatch, e4_200):
 PINNED_CFG = NumericsConfig(order=64, height=12.0, panels=64, tol=1e-8, cutoff=2000)
 E4_5 = [("E4", 200, s) for s in (1.5, 2.5, 1.7, 2.2, 3.1 + 0.2j)]
 PINNED_REPORTS = [
-    ([("delta", 64, 8.0)],
-     ("-0x1.fa39dfa553d16p-10", "0x1.5d0fc080e4483p-60"), "0x1.0000000000000p-62", ()),
-    ([("delta", 2100, 9.0), ("delta", 2100, 2.0)],
-     ("-0x1.a68d3693be316p-70", "-0x1.f7f1bdfe3620bp-22"), "0x1.58739e8233811p-74", ()),
-    (E4_5, ("-0x1.a40ad28da9ed0p-14", "-0x1.01d0e23fee553p-10"), "0x1.424aaf1ce94cfp-57",
-     ("s_5", "s_4 + s_5", "s_3 + s_4 + s_5", "s_2 + s_3 + s_4 + s_5",
-      "s_1 + s_2 + s_3 + s_4 + s_5", "s_1 - 4", "s_2 - 4 + s_1 - 4",
-      "s_3 - 4 + s_2 - 4 + s_1 - 4", "s_4 - 4 + s_3 - 4 + s_2 - 4 + s_1 - 4",
-      "s_5 - 4 + s_4 - 4 + s_3 - 4 + s_2 - 4 + s_1 - 4")),
-    ([("G", 64, 0.5 + 0.3j), ("F", 64, 1.7), ("G", 64, 2.1)],
-     ("0x1.c723a05a42a5cp-12", "0x1.71d52834425dcp-12"), "0x1.7eabd54eb06eep-64",
-     ("s_3", "s_1 - 2", "s_2 - 2 + s_1 - 2", "s_3 - 2 + s_2 - 2 + s_1 - 2")),
-    ([("E4", 64, 2.2), ("delta", 64, 7.1), ("E6", 64, 3.3)],
-     ("0x1.24ff524958a04p-12", "0x1.9346b89b6b95cp-12"), "0x1.31f7600d44cfcp-62",
-     ("s_3", "s_1 - 4")),
+    pytest.param([("delta", 64, 8.0)],
+                 ("-0x1.fa39dfa553d15p-10", "0x1.5d0fc080e4482p-60"), "0x1.0000000000000p-115",
+                 (), id="delta"),
+    pytest.param([("delta", 2100, 9.0), ("delta", 2100, 2.0)],
+                 ("-0x1.a68d3693be315p-70", "-0x1.f7f1bdfe3620ap-22"), "0x1.d147422eadb5ap-75",
+                 (), id="delta-delta"),
+    pytest.param(E4_5,
+                 ("-0x1.a40ad28da9e7ap-14", "-0x1.01d0e23fee55ap-10"), "0x1.8a0c9190ce08bp-59",
+                 ("s_5", "s_4 + s_5", "s_3 + s_4 + s_5", "s_2 + s_3 + s_4 + s_5",
+                  "s_1 + s_2 + s_3 + s_4 + s_5", "s_1 - 4", "s_2 - 4 + s_1 - 4",
+                  "s_3 - 4 + s_2 - 4 + s_1 - 4", "s_4 - 4 + s_3 - 4 + s_2 - 4 + s_1 - 4",
+                  "s_5 - 4 + s_4 - 4 + s_3 - 4 + s_2 - 4 + s_1 - 4"), id="E4x5"),
+    pytest.param([("G", 64, 0.5 + 0.3j), ("F", 64, 1.7), ("G", 64, 2.1)],
+                 ("0x1.c723a05a42a5ap-12", "0x1.71d52834425dap-12"), "0x1.6bf8998dd30d6p-65",
+                 ("s_3", "s_1 - 2", "s_2 - 2 + s_1 - 2", "s_3 - 2 + s_2 - 2 + s_1 - 2"),
+                 id="G-F-G"),
+    pytest.param([("E4", 64, 2.2), ("delta", 64, 7.1), ("E6", 64, 3.3)],
+                 ("0x1.24ff5249589fdp-12", "0x1.9346b89b6b95dp-12"), "0x1.98830ce2ad104p-62",
+                 ("s_3", "s_1 - 4"), id="E4-delta-E6"),
 ]
 
 
@@ -277,7 +281,7 @@ def test_library_ignores_moditer_env(monkeypatch):
     want = iterint.iterint_report(spec)
     monkeypatch.setenv("MODITER_PANELS", "4")
     monkeypatch.setenv("MODITER_TOL", "junk")
-    literal = NumericsConfig(order=64, height=12.0, panels=16, tol=1e-8, cutoff=2000)
+    literal = NumericsConfig(order=64, height=12.0, panels=6, tol=1e-8, cutoff=2000)
     assert NumericsConfig() == literal
     got = iterint.iterint_report(spec)
     assert _bits(got.value) == _bits(want.value)
@@ -287,7 +291,7 @@ def test_library_ignores_moditer_env(monkeypatch):
 def test_mzv_pullback_and_shuffle_word_bits_pinned():
     rep = mzv.modular_raw_integral(mzv.MzvIndex((2, 1, 1)), PINNED_CFG)
     assert (_bits(rep.value), rep.err_estimate.hex(), rep.divisors) == (
-        ("0x1.6c16c16c16c19p-23", "-0x1.452b008fc9ffcp-74"), "0x1.e684e89726f65p-76", ())
+        ("0x1.6c16c16c16c16p-23", "-0x1.452b008fc9ff9p-74"), "0x1.4294d35842718p-76", ())
     d = forms.builtin("delta", 300)
     word = make_spec([(d, 1.3 + 0.2j), (d, 2.1 - 0.4j), (d, 1.7)])
     assert _bits(nested_quadrature(word, 1.5j, 0.35j, PINNED_CFG)) == (
@@ -317,19 +321,18 @@ def _grid_case(rng):
 
 
 def test_default_grid_agrees_with_64_panels():
-    # The default grid is 16 panels; the old default was 64.  Each report on
-    # the default grid lies within both reports' err (plus rounding, which err
-    # does not yet cover) of the one on 64 panels.
+    # Each report on the default grid lies within both reports' err (plus
+    # rounding, which err does not yet cover) of the one on 64 panels.
     rng = random.Random(20)
     eps = np.finfo(float).eps
     bad = []
     for case in range(200):
         spec, height = _grid_case(rng)
-        r16 = iterint.iterint_report(spec, NumericsConfig(panels=16, height=height))
+        got = iterint.iterint_report(spec, NumericsConfig(height=height))
         r64 = iterint.iterint_report(spec, NumericsConfig(panels=64, height=height))
-        bound = r16.err_estimate + r64.err_estimate + 64 * eps * abs(r64.value)
-        if not abs(r16.value - r64.value) <= bound:
-            bad.append((case, spec, height, abs(r16.value - r64.value), bound))
+        bound = got.err_estimate + r64.err_estimate + 64 * eps * abs(r64.value)
+        if not abs(got.value - r64.value) <= bound:
+            bad.append((case, spec, height, abs(got.value - r64.value), bound))
     assert bad == []
 
 
@@ -464,6 +467,54 @@ def test_sweep_table_serves_a_stored_prefix(monkeypatch, e4_200, delta2100):
     before = len(calls)
     sweeps.level([word[0], KS(delta2100, 1.5 + 0j)], 1)
     assert len(calls) == before + 1
+
+
+def test_sweep_table_keeps_its_bits_when_the_grid_cache_is_cleared(e4_200, delta2100):
+    # The table keys kernel values by the id of a grid's node array.  With
+    # quad's grid cache cleared before every attempt, each grid is rebuilt as
+    # a new array, perhaps where a dropped one lived; the table holds every
+    # array it keyed, so no id is reused and no stale entry is read.
+    KS = iterint.KernelSpec
+    word = [KS(forms.cusp_part(e4_200), 2.5 + 0j), KS(delta2100, 1.5 + 0j), KS(None, -0.5 + 0j)]
+    words = (word, [word[0], KS(e4_200, 3.5 + 0j)])
+    cfg = CFG.replace(tol=1e-17)  # tight enough that the panels double
+    attempts = []
+
+    def builder(n):
+        attempts.append(n)
+        return iterint.quad.vertical_panels(1j, cfg.height, n, tail=False)
+
+    def clearing(n):
+        iterint.quad._grid.cache_clear()
+        return builder(n)
+
+    fresh = [iterint._Sweeps(builder, cfg).level(w, len(w) - 1) for w in words]
+    attempts.clear()
+    table = iterint._Sweeps(clearing, cfg)
+    got = [table.level(w, len(w) - 1) for w in words]
+    bits = lambda results: [(_bits(v), e.hex()) for v, e in results]
+    assert bits(got) == bits(fresh)
+    assert attempts == [6, 12, 24, 48] * 2
+    assert len(table._grids) == 2 * len(attempts)
+    assert all(id(grid["z"]) == key for key, grid in table._grids.items())
+
+
+def test_default_report_sweeps_six_panels(monkeypatch):
+    # 16 uniform panels, the previous default, cost this report 6400
+    # kernel-node evaluations (levels x panels x nodes)
+    work = []
+    sweep = iterint.quad.iterated_integral
+
+    def counting(kernels, panels, g):
+        work.append((len(kernels), len(panels), g))
+        return sweep(kernels, panels, g)
+
+    monkeypatch.setattr(iterint.quad, "iterated_integral", counting)
+    names = ("E4", "delta", "E6")
+    spec = make_spec([(forms.builtin(n, 64), s) for n, s in zip(names, (2.2, 7.1, 3.3))])
+    iterint.iterint_report(spec)
+    assert work and {panels for _, panels, _ in work} == {6}
+    assert sum(k * p * g for k, p, g in work) <= 6400 * 6 // 16
 
 
 def test_height_guard(delta2100):

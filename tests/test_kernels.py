@@ -18,7 +18,7 @@ import pytest
 
 from moditer import forms, iterint, lfun, qseries, quad
 from moditer.config import NumericsConfig
-from moditer.errors import AccuracyError
+from moditer.errors import AccuracyError, DomainError
 
 EPS = np.finfo(float).eps
 
@@ -159,8 +159,47 @@ def test_quadrature_caches_are_bounded():
     panels = quad.segment_panels(0j, 1j, 4)
     for g in range(2, 8):
         quad.iterated_integral([np.ones_like], panels, g)
+    for k in range(100):
+        quad.iterated_integral([np.ones_like], quad.segment_panels(0j, (1 + k) * 1j, 4), 16)
     assert quad.gauss_legendre.cache_info().currsize <= 4
     assert quad._cumulative_operator.cache_info().currsize <= 4
+    assert quad._grid.cache_info().currsize <= 32
+
+
+@pytest.mark.parametrize("tail", [False, True])
+@pytest.mark.parametrize("b, height, n", [(1j, 12.0, 6), (0.5j, 30.0, 4), (0.3 + 0.35j, 1e300, 48)])
+def test_vertical_panels_are_a_geometric_chain(b, height, n, tail):
+    panels = quad.vertical_panels(b, height, n, tail)
+    assert all(p[1] == q[0] for p, q in zip(panels, panels[1:]))
+    assert _bits(panels[-1][1]) == _bits(b)
+    assert all(z.real == b.real for p in panels for z in p)
+    # the tail above height as it was built before the main section changed
+    levels = max(1, math.ceil(math.log2(1e20 / height))) if tail else 0
+    x = b.real
+    old_tail = [(complex(x, height * 2.0 ** j), complex(x, height * 2.0 ** (j - 1)))
+                for j in range(levels, 0, -1)]
+    bits = lambda chain: [(_bits(top), _bits(low)) for top, low in chain]
+    assert bits(panels[:levels]) == bits(old_tail)
+    main = panels[levels:]
+    assert len(main) == n and main[0][0] == complex(x, height)
+    ratios = [(top.imag - low.imag) / low.imag for top, low in main]
+    assert max(ratios) - min(ratios) <= 1e-12 * min(ratios)
+    assert math.isclose(min(ratios), (height / b.imag) ** (1 / n) - 1, rel_tol=1e-12)
+
+
+def test_vertical_panels_need_a_point_above_the_axis():
+    for b in (0j, 0.5 + 0j, 0.5 - 1j):
+        with pytest.raises(DomainError, match="Im b > 0"):
+            quad.vertical_panels(b, 12.0, 6, tail=False)
+
+
+def test_grid_is_shared_and_read_only():
+    # a chain asked for again, in a new list, is served the same nodes
+    seen = []
+    chain = quad.vertical_panels(1j, 12.0, 6, tail=False)
+    for panels in (chain, list(chain)):
+        quad.iterated_integral([lambda z: seen.append(z) or np.ones_like(z)], panels, 16)
+    assert seen[0] is seen[1] and not seen[0].flags.writeable
 
 
 @pytest.mark.parametrize("tol", [1e-17, 1e-19])
@@ -169,7 +208,7 @@ def test_adaptive_serves_each_level_as_its_own_call(tol):
     # and at 1e-19 the innermost one stalls while the others resolve
     kernels = _power_kernels()
     cfg = NumericsConfig(panels=4, tol=tol)
-    builder = lambda n: quad.vertical_panels(1j, 12.0, n, tail=False)
+    builder = lambda n: quad.segment_panels(12j, 1j, n)
     shared = quad.adaptive_iterated(kernels, builder, cfg)
     for j, got in enumerate(shared):
         alone = quad.adaptive_iterated(kernels[: j + 1], builder, cfg)[-1]

@@ -7,6 +7,7 @@ test.
 """
 
 import math
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moditer import qseries
 from moditer.errors import DomainError
 from moditer.qseries import (
     QSeries,
@@ -308,6 +310,28 @@ def test_eisenstein_substituted_argument():
 def test_eisenstein_rejects_odd_weight():
     with pytest.raises(DomainError):
         eisenstein_series(3, 1, 5)
+
+
+def test_eisenstein_at_the_weight_cap():
+    # the multiplier -2k/B_k is a normal float at k = 260 and subnormal at
+    # 262 (by the independent oracle), so 260 is the last weight kept
+    assert qseries.EISENSTEIN_MAX_WEIGHT == 260
+    e = eisenstein_series(260, 1, 2)
+    assert e.coeffs[1] == Fraction(-2 * 260) / bernoulli_at(260)
+    assert abs(float(e.coeffs[1])) >= sys.float_info.min
+    assert abs(float(Fraction(-2 * 262) / bernoulli_at(262))) < sys.float_info.min
+
+
+@pytest.mark.parametrize("k", [262, 800, 10**9])
+def test_eisenstein_above_the_weight_cap_is_refused_first(monkeypatch, k):
+    def no_bernoulli(n):
+        raise AssertionError("Bernoulli work above the cap")
+
+    monkeypatch.setattr(qseries, "bernoulli", no_bernoulli)
+    with pytest.raises(DomainError, match=f"need k <= 260, got {k}:"):
+        eisenstein_series(k, 1, 3)
+    with pytest.raises(DomainError, match=f"need k <= 260, got {k}:"):
+        builtin_form(f"E{k}", 3)
 
 
 def test_eta_prefactor_and_mantissa():

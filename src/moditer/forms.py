@@ -116,7 +116,7 @@ def builtin(name: str, order: int) -> ModularForm:
     Built once per (name, order) and shared: the form is frozen and its
     companion is wired here.  The memo keeps the 32 most recently used
     keys, a fixed bound with room for several orders of every form (the
-    README's CLI commands use 7 keys).  An unknown name raises on every
+    README's CLI commands use 9 keys).  An unknown name raises on every
     call, since errors are not cached.
     """
     if name in ("G", "theta4"):

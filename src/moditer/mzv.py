@@ -21,7 +21,7 @@ from . import forms, iterint
 from .config import NumericsConfig
 from .errors import AccuracyError, DivergenceError, DomainError
 from .forms import ModularForm
-from .quad import GL_ORDER, geometric_panels, iterated_integral
+from .quad import GL_ORDER, geometric_breaks, iterated_integral
 
 __all__ = [
     "MzvIndex",
@@ -179,13 +179,22 @@ def _word_flags(idx: MzvIndex):
     return flags
 
 
-def _interval_panels(eps: float, n: int):
-    low = geometric_panels(complex(eps), complex(0.5), n)
-    high = [(b, a) for a, b in reversed(geometric_panels(complex(1 - eps), complex(0.5), n))]
-    return low + high
+# Panels on each half of the unit interval.  The trim ends sit 5e9 times
+# nearer to 0 and 1 than the midpoint does, so 16 panels keep a ratio of about 4
+# between neighbouring breakpoints, and Gauss-Legendre converges on each panel
+# well below the cancellation floor of the Richardson step.
+_HALF_PANELS = 16
 
 
-def p1_word_integral(flags, config: NumericsConfig = NumericsConfig(), eps: float = 1e-10) -> float:
+def _interval_panels(eps: float):
+    """Panels from eps to 1 - eps: a geometric chain from eps to 1/2, and its
+    mirror image 1 - y from 1/2 to 1 - eps."""
+    ys = geometric_breaks(eps, 0.5, _HALF_PANELS)
+    pts = [complex(y) for y in ys] + [complex(1 - y) for y in reversed(ys[:-1])]
+    return list(zip(pts[:-1], pts[1:]))
+
+
+def p1_word_integral(flags, eps: float = 1e-10) -> float:
     """Iterated integral of the word over the unit interval, flags as in
     ``_word_flags``.  The interval is trimmed to [eps, 1-eps] with panels
     clustering at both ends; a two-point Richardson step in eps removes the
@@ -200,17 +209,16 @@ def p1_word_integral(flags, config: NumericsConfig = NumericsConfig(), eps: floa
     kernels = [
         (lambda z: 1.0 / (1.0 - z)) if f == 1 else (lambda z: 1.0 / z) for f in flags
     ]
-    n = max(48, config.panels)
 
     def value(e):
-        return iterated_integral(kernels, _interval_panels(e, n), GL_ORDER)[-1]
+        return iterated_integral(kernels, _interval_panels(e), GL_ORDER)[-1]
 
     coarse, fine = value(eps), value(eps / 2)
     return (2 * fine - coarse).real
 
 
-def mzv_p1_integral(idx: MzvIndex, config: NumericsConfig = NumericsConfig()) -> float:
-    return p1_word_integral(_word_flags(idx), config)
+def mzv_p1_integral(idx: MzvIndex) -> float:
+    return p1_word_integral(_word_flags(idx))
 
 
 # --- route 3: pullback integral on the modular curve ---------------------------

@@ -260,7 +260,7 @@ def eisenstein_series(k: int, l: int, order: int) -> QSeries:
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
     for n in range(1, base + 1):
-        coeffs[l * n] = _norm(c * table[n])
+        coeffs[l * n] = c * table[n]
     return QSeries(tuple(coeffs), order)
 
 
@@ -315,10 +315,5 @@ def logderiv(s: QSeries) -> QSeries:
     m = s.order - v
     # q * u'/u, then the constant from q^{v + prefactor/24}
     du = tuple((j + 1) * u[j + 1] for j in range(len(u) - 1))
-    if m >= 1:
-        quot = _div_coeffs(du, u, m - 1)
-        coeffs = [Fraction(0)] + list(quot)
-    else:
-        coeffs = [Fraction(0)]
-    coeffs[0] += v + Fraction(s.prefactor_num, 24)
+    coeffs = [v + Fraction(s.prefactor_num, 24)] + list(_div_coeffs(du, u, m - 1))
     return QSeries(tuple(coeffs), m)

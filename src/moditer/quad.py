@@ -1,8 +1,10 @@
 """Panel-based Gauss-Legendre machinery for nested path integrals.
 
 A path is a list of directed straight panels (z_start, z_end): uniform along
-a finite segment, and along the vertical descent from i-infinity a geometric
-chain whose panels keep a fixed ratio of length to height.  Each panel
+a finite segment, and geometric toward a singularity.  One rule,
+``geometric_breaks``, meshes both singular paths: the vertical descent from
+i-infinity, whose panels keep a fixed ratio of length to height, and the
+trimmed unit interval of the MZV integral, toward each end.  Each panel
 carries a fixed Gauss-Legendre grid, built once per (panel chain, node
 count) and shared read-only; nested integrals are built by one
 cumulative-antiderivative sweep per integration level, so inner values are
@@ -28,8 +30,8 @@ __all__ = [
     "GL_ORDER",
     "gauss_legendre",
     "segment_panels",
+    "geometric_breaks",
     "vertical_panels",
-    "geometric_panels",
     "iterated_integral",
     "adaptive_iterated",
 ]
@@ -70,12 +72,12 @@ def segment_panels(a: complex, b: complex, n_panels: int):
     return list(zip(pts[:-1], pts[1:]))
 
 
-def geometric_panels(a: complex, b: complex, n_panels: int):
-    """Panels from a to b clustering geometrically toward a: the breakpoints
-    are a and a + (b - a) / 2^j for j = n_panels - 1, ..., 0."""
-    ts = [0.0] + [0.5 ** (n_panels - 1 - j) for j in range(n_panels)]
-    pts = [a + (b - a) * t for t in ts]
-    return list(zip(pts[:-1], pts[1:]))
+def geometric_breaks(lo: float, hi: float, n: int) -> list:
+    """The n + 1 breakpoints lo (hi / lo)^(j / n), j = 0..n, of a geometric
+    chain from lo to hi (both positive), with exact ends.  The step is taken
+    in logs, so that hi / lo cannot overflow."""
+    step = (math.log(hi) - math.log(lo)) / n
+    return [lo] + [lo * math.exp(j * step) for j in range(1, n)] + [hi]
 
 
 def vertical_panels(b: complex, height: float, n_panels: int, tail: bool):
@@ -100,11 +102,7 @@ def vertical_panels(b: complex, height: float, n_panels: int, tail: bool):
         levels = max(1, math.ceil(math.log2(1e20 / height)))
         for j in range(levels, 0, -1):
             panels.append((complex(x, height * 2.0 ** j), complex(x, height * 2.0 ** (j - 1))))
-    # in logs, so that height / Im b cannot overflow
-    step = (math.log(height) - math.log(b.imag)) / n_panels
-    pts = [complex(x, height)]
-    pts += [complex(x, b.imag * math.exp(j * step)) for j in range(n_panels - 1, 0, -1)]
-    pts.append(b)
+    pts = [complex(x, y) for y in reversed(geometric_breaks(b.imag, height, n_panels))]
     panels.extend(zip(pts[:-1], pts[1:]))
     return panels
 

@@ -320,6 +320,49 @@ def test_mzv_series_err_bounds_error_at_cutoff_32(capsys, index, want):
     assert v["err"] >= abs(v["value"][0] - want) > 0
 
 
+def test_mzv_p1_value_does_not_follow_panels(capsys):
+    # p1 meshes the unit interval on its own fixed chain
+    outs = []
+    for panels in ("4", "6", "48", "100"):
+        code, rep = run_json(capsys, "mzv", "--index", "2,1,1", "--method", "p1",
+                             "--panels", panels)
+        assert code == 0 and rep["config"]["panels"] == int(panels)
+        outs.append(rep["values"])
+    assert all(v == outs[0] for v in outs)
+
+
+def test_mzv_suite_shows_each_route_value():
+    rep = cli.verify_suite("mzv")
+    routes = {"p1": mzv.mzv_p1_integral, "modular": mzv.mzv_modular_integral}
+    assert len(rep.checks) == 6
+    for check in rep.checks:
+        zeta, route, _, _ = check["name"].split()
+        idx = mzv.MzvIndex(tuple(int(k) for k in zeta[5:-1].split(",")))
+        assert check["lhs"] == cli._pair(routes[route](idx))
+        assert check["rhs"] == cli._pair(mzv.mzv_series(idx))
+        # the sides print apart wherever they differ above the 15-digit rounding
+        if check["diff"] > 1e-13:
+            assert check["lhs"] != check["rhs"], check
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_iterint_err_covers_the_imaginary_part_of_a_real_integral(capsys):
+    # I(delta; 40) is real: its imaginary part is all error
+    code, rep = run_json(capsys, "iterint", "delta", "--s", "40", "--height", "40")
+    assert code == 0
+    (v,) = rep["values"]
+    assert abs(v["value"][1]) <= v["err"]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_mzv_modular_err_covers_the_height_cut(capsys):
+    code, rep = run_json(capsys, "mzv", "--index", "2", "--method", "modular",
+                         "--height", "1")
+    assert code == 0
+    (v,) = rep["values"]
+    assert abs(v["value"][0] - math.pi**2 / 6) <= v["err"]
+
+
 def test_mzv_modular_runs_the_pullback_once(capsys, monkeypatch):
     calls = []
     report = iterint.iterint_report

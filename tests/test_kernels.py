@@ -187,6 +187,45 @@ def test_vertical_panels_are_a_geometric_chain(b, height, n, tail):
     assert math.isclose(min(ratios), (height / b.imag) ** (1 / n) - 1, rel_tol=1e-12)
 
 
+def _parent_vertical_panels(b, height, n, tail):
+    """The descent chain as it was written before its breakpoints came from
+    quad.geometric_breaks."""
+    x = b.real
+    panels = []
+    if tail:
+        levels = max(1, math.ceil(math.log2(1e20 / height)))
+        for j in range(levels, 0, -1):
+            panels.append((complex(x, height * 2.0 ** j), complex(x, height * 2.0 ** (j - 1))))
+    step = (math.log(height) - math.log(b.imag)) / n
+    pts = [complex(x, height)]
+    pts += [complex(x, b.imag * math.exp(j * step)) for j in range(n - 1, 0, -1)]
+    pts.append(b)
+    panels.extend(zip(pts[:-1], pts[1:]))
+    return panels
+
+
+def test_vertical_panels_match_the_parent_formula_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    cases = [(complex(-0.0, 0.5), 1e300, 6, True), (complex(-0.0, 0.5), 1e300, 6, False),
+             (0.3 + 0.35j, 1e300, 48, True)]
+    for _ in range(2000):
+        x = rng.choice([-0.0, 0.0, rng.uniform(-1.0, 1.0)])
+        b = complex(x, 10 ** rng.uniform(-3.0, 1.0))
+        height = 1e300 if rng.random() < 0.1 else 10 ** rng.uniform(0.0, 300.0)
+        cases.append((b, height, int(rng.integers(1, 65)), bool(rng.random() < 0.5)))
+    bits = lambda chain: [(_bits(top), _bits(low)) for top, low in chain]
+    for b, height, n, tail in cases:
+        want = _parent_vertical_panels(b, height, n, tail)
+        assert bits(quad.vertical_panels(b, height, n, tail)) == bits(want), (b, height, n, tail)
+
+
+def test_geometric_breaks_have_exact_ends():
+    for lo, hi, n in ((1e-10, 0.5, 16), (0.5, 1e300, 7), (2.0, 2.0, 3), (0.3, 12.0, 1)):
+        ys = quad.geometric_breaks(lo, hi, n)
+        assert len(ys) == n + 1 and ys[0] == lo and ys[-1] == hi
+        assert all(a <= b for a, b in zip(ys, ys[1:]))
+
+
 def test_vertical_panels_need_a_point_above_the_axis():
     for b in (0j, 0.5 + 0j, 0.5 - 1j):
         with pytest.raises(DomainError, match="Im b > 0"):

@@ -1,5 +1,6 @@
 """Multiple zeta values: the three evaluation routes and their agreement."""
 
+import itertools
 import math
 
 import pytest
@@ -60,7 +61,45 @@ def test_series_cutoff_tail_replacement():
 def test_p1_against_series():
     for ks, tol in [((2,), 1e-8), ((3,), 1e-8), ((4,), 1e-7), ((2, 1), 1e-8), ((2, 2), 1e-8)]:
         idx = mzv.MzvIndex(ks)
-        assert abs(mzv.mzv_p1_integral(idx, CFG) - mzv.mzv_series(idx)) < tol
+        assert abs(mzv.mzv_p1_integral(idx) - mzv.mzv_series(idx)) < tol
+
+
+def _halving_chain_p1(ks, half_panels=96, eps=1e-10):
+    """p1 as it was computed on panels halving toward each trim end: the
+    breakpoints eps and a + (1/2 - a) / 2^j, j = n-1..0, on each half."""
+    def half(a, n):
+        ts = [0.0] + [0.5 ** (n - 1 - j) for j in range(n)]
+        pts = [a + (0.5 - a) * t for t in ts]
+        return list(zip(pts[:-1], pts[1:]))
+
+    flags = mzv._word_flags(mzv.MzvIndex(ks))
+    kernels = [(lambda z: 1.0 / (1.0 - z)) if f else (lambda z: 1.0 / z) for f in flags]
+
+    def value(e):
+        low = half(complex(e), half_panels)
+        high = [(b, a) for a, b in reversed(half(complex(1 - e), half_panels))]
+        return quad.iterated_integral(kernels, low + high, quad.GL_ORDER)[-1]
+
+    return (2 * value(eps / 2) - value(eps)).real
+
+
+def _admissible(max_weight):
+    """Every index of weight <= max_weight whose first entry is >= 2."""
+    for w in range(2, max_weight + 1):
+        for depth in range(1, w):
+            for cuts in itertools.combinations(range(1, w), depth - 1):
+                ks = tuple(b - a for a, b in zip((0,) + cuts, cuts + (w,)))
+                if ks[0] >= 2:
+                    yield ks
+
+
+def test_p1_matches_the_halving_chain():
+    # 16 geometric panels a half agree with 96 halving ones to the
+    # cancellation floor of the Richardson step, about 1e-11
+    indices = list(_admissible(7))
+    assert len(indices) == 63 and len(set(indices)) == 63
+    for ks in indices:
+        assert abs(mzv.mzv_p1_integral(mzv.MzvIndex(ks)) - _halving_chain_p1(ks)) <= 1e-10, ks
 
 
 def test_p1_word_guards():
@@ -127,7 +166,7 @@ def test_three_way_agreement():
     for ks in [(2,), (3,), (4,), (2, 1)]:
         idx = mzv.MzvIndex(ks)
         a = mzv.mzv_series(idx)
-        b = mzv.mzv_p1_integral(idx, CFG)
+        b = mzv.mzv_p1_integral(idx)
         c = mzv.mzv_modular_integral(idx, CFG)
         assert abs(a - b) < 1e-6
         assert abs(a - c) < 1e-6

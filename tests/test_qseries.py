@@ -322,6 +322,19 @@ def test_eisenstein_at_the_weight_cap():
     assert abs(float(Fraction(-2 * 262) / bernoulli_at(262))) < sys.float_info.min
 
 
+@pytest.mark.parametrize("k", range(4, 26, 2))
+def test_eisenstein_coefficients_are_int_exactly_when_integral(k):
+    # 1 - (2k/B_k) sigma_{k-1}(n), from the independent Bernoulli oracle
+    e = eisenstein_series(k, 1, 200)
+    mult = Fraction(-2 * k) / bernoulli_at(k)
+    want = [Fraction(1)] + [mult * sigma_brute(k - 1, n) for n in range(1, 201)]
+    assert e.coeffs == tuple(want)
+    for c, w in zip(e.coeffs, want):
+        assert type(c) is (int if w.denominator == 1 else Fraction)
+    # E12 is the first whose multiplier is not an integer
+    assert all(type(c) is int for c in e.coeffs) == (k in (4, 6, 8, 10, 14))
+
+
 @pytest.mark.parametrize("k", [262, 800, 10**9])
 def test_eisenstein_above_the_weight_cap_is_refused_first(monkeypatch, k):
     def no_bernoulli(n):
@@ -483,6 +496,16 @@ def test_logderiv_of_one_minus_lambda():
 def test_logderiv_geometric_example():
     ld = logderiv(q_jet([1, 1, 0, 0]))
     assert ld.coeffs == (0, 1, -1, 1)
+
+
+@pytest.mark.parametrize("coeffs,prefactor,want", [
+    ((3,), 0, 0), ((0, 0, 5), 0, 2), ((Fraction(1, 2),), 8, Fraction(1, 3)), ((0, 7), -12, Fraction(1, 2)),
+])
+def test_logderiv_at_order_zero(coeffs, prefactor, want):
+    # no term of q u'/u survives: only the constant from q^{v + prefactor/24}
+    ld = logderiv(QSeries(coeffs, len(coeffs) - 1, prefactor))
+    assert (ld.coeffs, ld.order, ld.prefactor_num) == ((want,), 0, 0)
+    assert type(ld.coeffs[0]) is type(want)
 
 
 def test_logderiv_zero_series():

@@ -92,8 +92,22 @@ def _emit(report: RunReport, output: str, stream) -> None:
     stream.write(buf.getvalue())
 
 
+def _f15_up(x: float) -> float:
+    """x rounded upward to 15 significant digits: the least such decimal whose
+    float is >= x.  A decimal of at most 15 digits, 0 among them, stays."""
+    y = _f15(x)
+    if y >= x or not math.isfinite(x):
+        return y
+    mantissa, exp = f"{x:.14e}".split("e")
+    return float(f"{int(mantissa.replace('.', '')) + 1}e{int(exp) - 14}")
+
+
 def _value_entry(label: str, value, err: float) -> dict:
-    return {"label": label, "value": _pair(value), "err": _f15(err)}
+    """The printed err bounds the printed value: err plus the distance the
+    15-digit printing moved the value, rounded upward."""
+    shown = _pair(value)
+    return {"label": label, "value": shown,
+            "err": _f15_up(err + abs(complex(*shown) - complex(value)))}
 
 
 def _check_entry(name, diff, tol, lhs=None, rhs=None) -> dict:

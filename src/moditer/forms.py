@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import qseries
+from . import qseries, quad
 from .config import NumericsConfig
 from .errors import DomainError, TruncationError
 
@@ -74,6 +74,19 @@ class ModularForm:
         arr = np.array(values, dtype=complex)
         arr.setflags(write=False)
         return arr
+
+    @cached_property
+    def _logs(self) -> np.ndarray:
+        # log|a_j|, -inf at a zero coefficient; freed with the form too
+        with np.errstate(divide="ignore"):
+            arr = np.log(np.abs(self._np_coeffs))
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def _cuts(self) -> dict:
+        # log max|q| -> the cut J there (evaluate_many), at most _CUTS entries
+        return {}
 
     @cached_property
     def _cusp_part(self) -> "ModularForm":
@@ -173,65 +186,84 @@ def evaluate_at(f: ModularForm, z: complex, config: NumericsConfig = NumericsCon
     return evaluate_at_with_tail(f, z, config)[0]
 
 
-# Horner stops where the terms fall below e^-46 (about 1e-20, under a tenth
-# of a unit roundoff) of the batch's largest: see horner_many.
+# The sum stops where the terms fall below e^-46 (about 1e-20, under a tenth
+# of a unit roundoff) of the largest: see _significant_cut.
 _CUT_LOG = 46.0
 
-
-def _significant_cut(coeffs: np.ndarray, log_r: float) -> int:
-    """Last index J with log|a_J| + J log r >= max_j(log|a_j| + j log r) - 46.
-
-    Runs under evaluate_series's errstate: a zero coefficient gets -inf, and
-    so does j log r where it overflows.  j = 0 adds nothing, even at
-    log r = -inf.  An all-zero array keeps every index (top = -inf), which
-    is harmless."""
-    logs = np.log(np.abs(coeffs))
-    logs[1:] += log_r * np.arange(1, len(coeffs))
-    top = logs.max()
-    if np.isnan(top):  # a NaN point or coefficient: leave it to Horner
-        return len(coeffs) - 1
-    return int(np.flatnonzero(logs >= top - _CUT_LOG)[-1])
+# Chain heights whose cut a form remembers; the oldest is dropped first.
+_CUTS = 16
 
 
-def horner_many(coeffs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """sum_n coeffs[n] * ws**n at every point of ws (coeffs in ascending powers).
+def _significant_cut(logs: np.ndarray, log_r: float) -> int:
+    """Last index J with log|a_J| + J log r >= max_j(log|a_j| + j log r) - 46,
+    for logs = log|a_j| and r = max|q| over the points.
 
-    The one Horner loop of the package.  Its callers hand it coeffs[:J+1]
-    with J = _significant_cut at r = max|w| over the batch, so the cost
-    follows the height of the points rather than the stored order M.  Why
-    the cut changes no value beyond rounding: let i* be the index of the
-    largest term at r, so J >= i*.  For any j > J and any batch point w
-    (|w| <= r, j > i*),
-        |a_j w^j| / |a_i* w^i*| <= |a_j r^j| / |a_i* r^i*| < e^-46,
+    Why stopping the sum at J changes no value beyond rounding: let i* be
+    the index of the largest term at r, so J >= i*.  For any j > J and any
+    point q (|q| <= r, j > i*),
+        |a_j q^j| / |a_i* q^i*| <= |a_j r^j| / |a_i* r^i*| < e^-46,
     so the dropped terms sum to less than M e^-46 (about M 1e-20) times the
-    point's own largest term.  Horner's rounding error on the full sum can
-    reach about 2 M eps sum_j |a_j w^j|, eps = 1.1e-16, far above that.
-    """
-    acc = np.zeros(len(ws), dtype=complex)
-    for c in coeffs[::-1]:
-        acc = acc * ws + c
-    return acc
+    point's own largest term.  The rounding error of the power sum itself
+    can reach about (J + 1) eps sum_j |a_j q^j| (Higham, ch. 3 and 5),
+    eps = 1.1e-16, far above that.
+
+    A zero coefficient has log -inf, and so does j log r where it
+    overflows; j = 0 adds nothing, even at log r = -inf.  Where every term
+    is -inf (an all-zero array, or q = 0 with a_0 = 0) the sum is 0 and J is
+    0.  A NaN point or coefficient keeps every index."""
+    terms = logs.copy()
+    with np.errstate(over="ignore"):
+        terms[1:] += log_r * np.arange(1, len(logs))
+    top = terms.max()
+    if np.isnan(top):
+        return len(logs) - 1
+    if top == -np.inf:
+        return 0
+    return int(np.flatnonzero(terms >= top - _CUT_LOG)[-1])
+
+
+def horner_many(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] table[j]: with table row j = q^j at every point
+    (quad.Chain.powers), a q-expansion's values at the points, as one
+    matrix-vector product.
+
+    The one evaluation kernel of the package.  It replaced a Horner loop and
+    keeps its name, under which modbench's tracer times it (kernels.horner).
+    Its callers hand it coeffs[:J+1] with J from _significant_cut, so the
+    cost follows the height of the points rather than the stored order M."""
+    return coeffs @ table
+
+
+def _as_chain(zs) -> quad.Chain:
+    # a copy: the Chain makes its points read-only
+    return zs if isinstance(zs, quad.Chain) else quad.Chain(np.array(zs, dtype=complex))
 
 
 def evaluate_series(coeffs, zs) -> np.ndarray:
-    """sum_n coeffs[n] q^n at q = e^{2 pi i z} for every z, Horner stopped at
-    the batch's last significant term."""
+    """sum_n coeffs[n] q^n at q = e^{2 pi i z} for every z: zs is a
+    quad.Chain, whose power table serves the call, or an array of one-off
+    points, which get a table of their own.  The sum stops at the points'
+    last significant term (_significant_cut)."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    zs = np.asarray(zs, dtype=complex)
-    # log r = log max|q|.  Where 2 pi Im z overflows, log r is -inf and q is
-    # 0, the exact limit; log|0| = -inf marks a zero coefficient.
-    with np.errstate(divide="ignore", over="ignore"):
-        log_r = -2 * np.pi * zs.imag.min() if zs.size else 0.0
-        cut = _significant_cut(coeffs, log_r)
-        qs = np.exp(2j * np.pi * zs)
-    return horner_many(coeffs[: cut + 1], qs)
+    chain = _as_chain(zs)
+    with np.errstate(divide="ignore"):
+        cut = _significant_cut(np.log(np.abs(coeffs)), chain.log_r)
+    return horner_many(coeffs[: cut + 1], chain.powers(cut))
 
 
-def evaluate_many(f: ModularForm, zs: np.ndarray) -> np.ndarray:
-    """Vectorized q-expansion evaluation.  The stored coefficients are
-    trusted: the tail beyond the order is not bounded here (quadrature paths
-    stay at Im z >= 1/sqrt(N); evaluate_at_with_tail reports a tail bound)."""
-    return evaluate_series(f._np_coeffs, zs)
+def evaluate_many(f: ModularForm, zs) -> np.ndarray:
+    """Vectorized q-expansion evaluation on a quad.Chain or at an array of
+    points, as evaluate_series, with log|a_j| and the cut of each chain
+    height kept on the form.  The stored coefficients are trusted: the tail
+    beyond the order is not bounded here (quadrature paths stay at
+    Im z >= 1/sqrt(N); evaluate_at_with_tail reports a tail bound)."""
+    chain = _as_chain(zs)
+    cut = f._cuts.get(chain.log_r)
+    if cut is None:
+        if len(f._cuts) >= _CUTS:
+            del f._cuts[next(iter(f._cuts))]
+        cut = f._cuts[chain.log_r] = _significant_cut(f._logs, chain.log_r)
+    return horner_many(f._np_coeffs[: cut + 1], chain.powers(cut))
 
 
 def fricke_evaluate(f: ModularForm, z: complex, config: NumericsConfig = NumericsConfig()) -> complex:

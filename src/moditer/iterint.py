@@ -104,19 +104,18 @@ class _Sweeps:
     A sweep stores each level of its word under that level's prefix, keyed
     ((id(form), s), ...) innermost first.  Level j is bit for bit a sweep of
     word[:j+1] alone (see quad), so a word whose prefix is stored runs no new
-    sweep.  Per grid the table takes log z once, evaluate_many once per form
-    and f z^{s-1} once per (form, s), each with the expression of a lone
-    kernel evaluation, so every array is bit-identical to one.  A grid is
-    keyed by the identity of its node array, which quad builds once per panel
-    chain, caches and keeps read-only; the table holds every array it keys,
-    so no other array can take its id while the table lives, even after
-    quad's cache drops the grid."""
+    sweep.  Per quad.Chain the table runs evaluate_many once per form and
+    f z^{s-1} once per (form, s), from the chain's own log z, each with the
+    expression of a lone kernel evaluation, so every array is bit-identical
+    to one.  Kernel values are keyed by the Chain object itself, which the
+    table holds, so a chain that quad's cache drops and rebuilds is a new
+    key."""
 
     def __init__(self, builder, config: NumericsConfig):
         self.builder = builder
         self.config = config
         self._levels = {}  # prefix key -> (value, err), or the AccuracyError it stalled at
-        self._grids = {}  # id(z) -> {"z": z, "log": log z, id(form): f(z), (id(form), s): kernel}
+        self._grids = {}  # Chain -> {id(form): f(z), (id(form), s): kernel}
         self._forms = {}  # id -> form: keeps every id-keyed form alive while the table is
 
     def level(self, word, depth: int):
@@ -135,17 +134,15 @@ class _Sweeps:
 
     def _kernel(self, form, s: complex):
         self._forms[id(form)] = form
-        return lambda z: self._value(form, s, z)
+        return lambda chain: self._value(form, s, chain)
 
-    def _value(self, form, s, z):
-        grid = self._grids.get(id(z))
-        if grid is None:
-            grid = self._grids[id(z)] = {"z": z, "log": np.log(z)}
+    def _value(self, form, s, chain):
+        grid = self._grids.setdefault(chain, {})
         key = (id(form), s)
         if key not in grid:
-            power = np.exp((s - 1) * grid["log"])
+            power = np.exp((s - 1) * chain.log)
             if form is not None and id(form) not in grid:
-                grid[id(form)] = evaluate_many(form, z)
+                grid[id(form)] = evaluate_many(form, chain)
             grid[key] = power if form is None else grid[id(form)] * power
         return grid[key]
 

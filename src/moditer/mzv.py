@@ -207,7 +207,7 @@ def p1_word_integral(flags, eps: float = 1e-10) -> float:
     if flags[-1] == 1:
         raise DivergenceError("word ends with dt/(1-t): divergent at 1")
     kernels = [
-        (lambda z: 1.0 / (1.0 - z)) if f == 1 else (lambda z: 1.0 / z) for f in flags
+        (lambda c: 1.0 / (1.0 - c.nodes)) if f == 1 else (lambda c: 1.0 / c.nodes) for f in flags
     ]
 
     def value(e):

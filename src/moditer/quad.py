@@ -5,16 +5,23 @@ a finite segment, and geometric toward a singularity.  One rule,
 ``geometric_breaks``, meshes both singular paths: the vertical descent from
 i-infinity, whose panels keep a fixed ratio of length to height, and the
 trimmed unit interval of the MZV integral, toward each end.  Each panel
-carries a fixed Gauss-Legendre grid, built once per (panel chain, node
-count) and shared read-only; nested integrals are built by one
-cumulative-antiderivative sweep per integration level, so inner values are
-available exactly at the outer level's nodes (no re-evaluation).  A sweep
-returns the value of every level: level j is the integral of the word
-kernels[:j+1], bit for bit what a sweep of that prefix alone returns, so one
-sweep serves a whole family of words that share their inner layers.
+carries a fixed Gauss-Legendre grid; the grid of a panel chain is a
+``Chain``, built once per (panel chain, node count) and shared read-only.
+Nested integrals are built by one cumulative-antiderivative sweep per
+integration level, so inner values are available exactly at the outer
+level's nodes (no re-evaluation).  A sweep returns the value of every level:
+level j is the integral of the word kernels[:j+1], bit for bit what a sweep
+of that prefix alone returns, so one sweep serves a whole family of words
+that share their inner layers.
 
-Kernels are callables acting on flat complex arrays and are listed in path
-order: kernels[0] is the innermost layer, integrated nearest the path start.
+A Chain also holds what a q-expansion needs on its nodes: log z,
+q = e^{2 pi i z}, log max|q| and the powers q^0..q^J, so a form's values on
+a chain are one product with its power table (forms.evaluate_many).
+
+Kernels are callables that take the Chain and return one complex value per
+node (they read ``chain.nodes``, or ``chain.log`` and the power table); they
+are listed in path order: kernels[0] is the innermost layer, integrated
+nearest the path start.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ from .errors import AccuracyError, DomainError
 
 __all__ = [
     "GL_ORDER",
+    "TABLE_BYTES",
+    "Chain",
     "gauss_legendre",
     "segment_panels",
     "geometric_breaks",
@@ -37,6 +46,58 @@ __all__ = [
 ]
 
 GL_ORDER = 16  # Gauss-Legendre nodes per panel; adaptive_iterated checks at GL_ORDER + 8
+
+# A chain keeps its power table while the table holds at most TABLE_BYTES;
+# a wider one is built for the call that asks and then dropped.  With the 32
+# chains _grid keeps, kept tables hold at most 8 MiB.
+TABLE_BYTES = 1 << 18
+
+
+class Chain:
+    """Points z with what a q-expansion needs there.
+
+    ``nodes`` are the points, made read-only (for a panel chain, the flat
+    Gauss-Legendre node array, panel by panel), and ``halves`` half of each
+    panel's directed length (None for one-off points).  ``log`` is log z, ``q`` is
+    e^{2 pi i z} and ``log_r`` = log max|q| = -2 pi min Im z; where 2 pi Im z
+    overflows, q is 0 and log_r is -inf, the exact limits.  Every array is
+    read-only.  ``powers(J)`` hands out the table of q^0..q^J."""
+
+    __slots__ = ("nodes", "halves", "log", "q", "log_r", "_table")
+
+    def __init__(self, nodes: np.ndarray, halves: np.ndarray | None = None):
+        self.nodes = nodes
+        self.halves = halves
+        with np.errstate(divide="ignore", over="ignore"):
+            self.log = np.log(nodes)
+            self.q = np.exp(2j * np.pi * nodes)
+            self.log_r = -2 * np.pi * nodes.imag.min() if nodes.size else 0.0
+        self._table = np.ones((1, nodes.size), dtype=complex)
+        for arr in (nodes, self.log, self.q, self._table):
+            arr.setflags(write=False)
+
+    @property
+    def size(self) -> int:
+        """The number of points."""
+        return self.nodes.size
+
+    def powers(self, J: int) -> np.ndarray:
+        """Rows 0..J of the power table, row j = q^j at every point; read-only.
+
+        Row j is the running product q^(j-1) q, j roundings, so its bits do
+        not depend on how far the table has grown.  The table grows in
+        whole blocks of 16 rows, and the chain keeps it while it holds at
+        most TABLE_BYTES."""
+        table = self._table
+        if len(table) <= J:
+            rows = -(-(J + 1) // 16) * 16
+            table = np.empty((rows, self.size), dtype=complex)
+            table[0] = 1
+            np.cumprod(np.broadcast_to(self.q, (rows - 1, self.size)), axis=0, out=table[1:])
+            table.setflags(write=False)
+            if table.nbytes <= TABLE_BYTES:
+                self._table = table
+        return table[: J + 1]
 
 
 @functools.lru_cache(maxsize=4)
@@ -108,21 +169,22 @@ def vertical_panels(b: complex, height: float, n_panels: int, tail: bool):
 
 
 @functools.lru_cache(maxsize=32)
-def _grid(panels: tuple, g: int):
-    """(nodes, halves) of the chain with g Gauss-Legendre nodes per panel:
-    the flat node array, panel by panel, and half of each panel's directed
-    length, both read-only.  Built once per (panels, g) and shared, so a
-    kernel sees the same node array on every sweep of a chain while it stays
-    among the 32 most recently used."""
+def _grid(panels: tuple, g: int) -> Chain:
+    """The Chain of the panel chain with g Gauss-Legendre nodes per panel.
+
+    Built once per (panels, g) and shared while it stays among the 32 most
+    recently used, so a kernel sees the same Chain object on every sweep of
+    a chain and may key its values by it.  The Chain carries log z, q and
+    the power table q^0..q^J its forms have asked for, each kept table at
+    most TABLE_BYTES: all of it is freed when the cache drops the chain."""
     x, _ = gauss_legendre(g)
     starts = np.array([p[0] for p in panels], dtype=complex)
     ends = np.array([p[1] for p in panels], dtype=complex)
     halves = (ends - starts) / 2.0
     mids = (ends + starts) / 2.0
     nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-    nodes.setflags(write=False)
     halves.setflags(write=False)
-    return nodes, halves
+    return Chain(nodes, halves)
 
 
 def iterated_integral(kernels, panels, g: int) -> list:
@@ -132,16 +194,17 @@ def iterated_integral(kernels, panels, g: int) -> list:
     kernels[0] is innermost (nearest panels[0][0], the path start); entry j
     of the returned list is the full integral of kernels[j] times the
     accumulated inner layers kernels[:j].  Every kernel is called on the
-    chain's cached node array, so a caller may key kernel values by it.
+    chain's cached Chain, so a caller may key kernel values by it.
     """
     _, w = gauss_legendre(g)
     u = _cumulative_operator(g)
-    nodes, halves = _grid(tuple(panels), g)
+    chain = _grid(tuple(panels), g)
+    halves = chain.halves
 
     values = []
     inner = None
     for level, kern in enumerate(kernels):
-        k = np.asarray(kern(nodes), dtype=complex).reshape(len(halves), g)
+        k = np.asarray(kern(chain), dtype=complex).reshape(len(halves), g)
         h = k if inner is None else k * inner
         hw = h @ w
         values.append(complex(hw @ halves))

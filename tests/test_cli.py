@@ -345,6 +345,49 @@ def test_mzv_suite_shows_each_route_value():
             assert check["lhs"] != check["rhs"], check
 
 
+PI4 = math.pi**4
+ZETAS = {"2": math.pi**2 / 6, "3": ZETA3, "4": PI4 / 90, "2,1": ZETA3, "3,1": PI4 / 360,
+         "2,2": PI4 / 120, "2,1,1": PI4 / 90}
+# err defects that printing does not cause: the series route and the
+# iterint sweeps carry no rounding term (ROADMAP item 2)
+NO_ROUNDING_TERM = {"mzv --index 3,1 --method series", "mzv --index 2,2 --method series",
+                    "mzv --index 2,1,1 --method series", "iterint delta --s 16",
+                    "iterint delta --s 20", "iterint delta --s 24"}
+
+
+def _closed_forms():
+    """(command, true real part or None, true imaginary part) of every CLI
+    value with a closed form: zeta values by all three routes, I(delta; s),
+    real at even s, and eval where q = e^{2 pi i z} is 0 in double, a_0."""
+    for index, zeta in ZETAS.items():
+        for method in ("series", "p1", "modular"):
+            yield f"mzv --index {index} --method {method}", zeta, 0.0
+    for s in (2, 4, 8, 12, 16, 20, 24):
+        yield f"iterint delta --s {s}", None, 0.0
+    for name, a0 in (("E4", 1.0), ("E6", 1.0), ("delta", 0.0), ("G", 1.0), ("F", 0.0)):
+        yield f"eval {name} --z 200j", a0, 0.0
+
+
+def test_readme_closed_forms_are_covered():
+    commands = [" ".join(argv) for argv in _readme_commands()]
+    covered = [cmd for cmd, _, _ in _closed_forms() if cmd in commands]
+    assert covered == ["mzv --index 2,1 --method modular", "iterint delta --s 8"]
+
+
+@pytest.mark.parametrize("command, re, im", [
+    pytest.param(cmd, re, im, id=cmd.replace(" --", "-").replace(" ", "-"),
+                 marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 2")]
+                 if cmd in NO_ROUNDING_TERM else [])
+    for cmd, re, im in _closed_forms()])
+def test_printed_err_bounds_the_printed_value(capsys, command, re, im):
+    code, rep = run_json(capsys, *command.split())
+    assert code == 0
+    (v,) = rep["values"]
+    printed = complex(*v["value"])
+    true = complex(printed.real if re is None else re, im)
+    assert abs(printed - true) <= v["err"]
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_iterint_err_covers_the_imaginary_part_of_a_real_integral(capsys):
     # I(delta; 40) is real: its imaginary part is all error

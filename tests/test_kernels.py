@@ -1,5 +1,6 @@
-"""The two numerical kernels: batched Horner evaluation of q-expansions
-(forms.horner_many, stopped at the batch's last significant term) and the
+"""The two numerical kernels: q-expansion evaluation as one product of the
+coefficients with a table of powers of q (forms.horner_many, stopped at the
+points' last significant term; the table is kept with each quad.Chain) and the
 coefficient convolution of the Dirichlet cascades (np.convolve, imported as
 conv_complex by lfun and iterint).  The cascade in iterint._shells hands it
 the real parts of its operands as real arrays when both are real, and the
@@ -12,6 +13,7 @@ import math
 import pathlib
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,10 +31,12 @@ def _random_batch(rng, n, m, scale=1.0):
 
 
 def test_horner_matches_polyval():
+    # points whose q = e^{2 pi i z} are the random ws, moduli above 1 included
     rng = np.random.default_rng(3)
     coeffs, ws = _random_batch(rng, 30, 50)
-    got = forms.horner_many(coeffs, ws)
-    want = np.polyval(coeffs[::-1], ws)
+    chain = quad.Chain(np.log(ws) / (2j * np.pi))
+    got = forms.horner_many(coeffs, chain.powers(29))
+    want = np.polyval(coeffs[::-1], chain.q)
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
@@ -65,7 +69,7 @@ def test_conv_commutes_bitwise():
 def test_edge_lengths():
     one = np.array([2.0 + 1.0j])
     assert np.array_equal(lfun.conv_complex(one, one), np.array([3.0 + 4.0j]))
-    empty_poly = forms.horner_many(np.zeros(1, complex), np.array([5.0 + 0j]))
+    empty_poly = forms.horner_many(np.zeros(1, complex), np.array([[1.0 + 0j]]))
     assert empty_poly[0] == 0
 
 
@@ -99,23 +103,51 @@ def _forms_and_companions(order):
             yield f.fricke
 
 
+PI = 4 * np.arctan(np.longdouble(1))
+
+
+def _longdouble(coeffs):
+    # exact coefficients to long double precision, past 2^64 too
+    his = [float(c) for c in coeffs]
+    los = [float(Fraction(c) - Fraction(hi)) for c, hi in zip(coeffs, his)]
+    return np.array(his, dtype=np.longdouble) + np.array(los, dtype=np.longdouble)
+
+
+def _reference(a, zs):
+    """sum_j a_j q^j and sum_j |a_j q^j| over the long double coefficients a,
+    in long double, q = e^{2 pi i z} with pi in long double."""
+    q = np.exp(2j * PI * np.asarray(zs).astype(np.clongdouble))
+    powers = np.empty((len(a), q.size), dtype=np.clongdouble)
+    powers[0] = 1
+    np.cumprod(np.broadcast_to(q, (len(a) - 1, q.size)), axis=0, out=powers[1:])
+    terms = a[:, None] * powers
+    return terms.sum(0).astype(complex), np.abs(terms).sum(0).astype(float)
+
+
 @pytest.mark.parametrize("order", [64, 2000])
 def test_height_cut_changes_no_value_beyond_rounding(order):
+    # the cut sum on a chain's power table against the whole series in long
+    # double: within 8 (J + 1) eps sum_j |a_j q^j|, J the cut (Higham, ch. 3
+    # and 5; the rounding of 2 pi z in double is in this too)
+    points = 1j * np.geomspace(0.005, 0.3, 12) + np.linspace(-0.5, 0.5, 12)
     for f in _forms_and_companions(order):
-        zs = _path_nodes(f.level)
-        q = np.exp(2j * np.pi * zs)
-        full = forms.horner_many(f._np_coeffs, q)
-        scale = forms.horner_many(np.abs(f._np_coeffs), np.abs(q)).real
-        got = forms.evaluate_many(f, zs)
-        assert np.all(np.abs(got - full) <= 8 * EPS * scale), f.label
+        a = _longdouble(f.coeffs)
+        panels = tuple(quad.vertical_panels(1j / math.sqrt(f.level), 12.0, 6, tail=False))
+        chains = [quad._grid(panels, g) for g in (16, 24)]
+        for chain in chains + [quad.Chain(np.array([z])) for z in points]:
+            got = forms.evaluate_many(f, chain)
+            want, scale = _reference(a, chain.nodes)
+            cut = forms._significant_cut(f._logs, chain.log_r)
+            assert np.all(np.abs(got - want) <= 8 * (cut + 1) * EPS * scale), f.label
 
 
 def test_height_cut_hands_over_few_terms(monkeypatch):
     seen = []
-    horner = forms.horner_many
-    monkeypatch.setattr(forms, "horner_many", lambda c, ws: seen.append(len(c)) or horner(c, ws))
+    product = forms.horner_many
+    monkeypatch.setattr(forms, "horner_many",
+                        lambda c, table: seen.append((len(c), len(table))) or product(c, table))
     forms.evaluate_many(forms.builtin("delta", 2000), _path_nodes(1))
-    assert seen and max(seen) <= 40
+    assert seen and all(rows == terms <= 40 for terms, rows in seen)
 
 
 def test_height_cut_edge_cases():
@@ -129,13 +161,13 @@ def test_height_cut_edge_cases():
         coeffs = np.ones(30, dtype=complex)
         zs = np.array([-0.03j, 0.2 - 0.01j])
         assert np.array_equal(forms.evaluate_series(coeffs, zs),
-                              forms.horner_many(coeffs, np.exp(2j * np.pi * zs)))
+                              coeffs @ quad.Chain(zs.copy()).powers(29))
 
 
 def _power_kernels():
     # f z^{s-1} for a mixed word, innermost first, as iterint builds them
     d, e4 = forms.builtin("delta", 64), forms.builtin("E4", 64)
-    return [lambda z, f=f, s=s: forms.evaluate_many(f, z) * np.exp((s - 1) * np.log(z))
+    return [lambda c, f=f, s=s: forms.evaluate_many(f, c) * np.exp((s - 1) * c.log)
             for f, s in ((d, 3.0), (e4, 1.5 + 0.5j), (d, 2.0), (e4, 0.7))]
 
 
@@ -156,14 +188,44 @@ def test_every_level_is_its_prefix_bit_for_bit():
 
 
 def test_quadrature_caches_are_bounded():
+    ones = lambda c: np.ones_like(c.nodes)
     panels = quad.segment_panels(0j, 1j, 4)
     for g in range(2, 8):
-        quad.iterated_integral([np.ones_like], panels, g)
+        quad.iterated_integral([ones], panels, g)
     for k in range(100):
-        quad.iterated_integral([np.ones_like], quad.segment_panels(0j, (1 + k) * 1j, 4), 16)
+        quad.iterated_integral([ones], quad.segment_panels(0j, (1 + k) * 1j, 4), 16)
     assert quad.gauss_legendre.cache_info().currsize <= 4
     assert quad._cumulative_operator.cache_info().currsize <= 4
     assert quad._grid.cache_info().currsize <= 32
+    # 100 chains at distinct heights close to the real axis, where order-2000
+    # forms keep up to all their terms: a chain keeps only a table within
+    # TABLE_BYTES, and a form remembers at most _CUTS cuts
+    d, e4 = forms.builtin("delta", 2000), forms.builtin("E4", 2000)
+    chains = []
+    kernels = [lambda c: chains.append(c) or forms.evaluate_many(d, c),
+               lambda c: forms.evaluate_many(e4, c)]
+    for k, y in enumerate(np.geomspace(0.005, 2.0, 100)):
+        x = k / 100 - 0.5
+        quad.iterated_integral(kernels, quad.segment_panels(complex(x, y), complex(x + 0.5, y), 4), 16)
+    assert quad._grid.cache_info().currsize <= 32
+    assert all(c._table.nbytes <= quad.TABLE_BYTES for c in chains)
+    assert any(len(c._table) == 1 for c in chains) and any(len(c._table) > 1 for c in chains)
+    assert all(len(f._cuts) == forms._CUTS for f in (d, e4))
+
+
+def test_cached_chains_keep_no_form_alive():
+    # a chain keeps q and its powers, never a form; the cut memo lives on the
+    # form and goes with it.  Built outside the builtin memo, which holds its
+    # forms.
+    d, e4 = forms.builtin.__wrapped__("delta", 2000), forms.builtin.__wrapped__("E4", 200)
+    panels = quad.vertical_panels(1j, 12.0, 6, tail=False)
+    quad.iterated_integral([lambda c: forms.evaluate_many(d, c)], panels, 16)
+    report = iterint.iterint_report(iterint.make_spec([(e4, 2.5), (d, 9.0)]))
+    assert report.err_estimate < 1e-8 and quad._grid.cache_info().currsize > 0
+    refs = [weakref.ref(f) for f in (d, e4, forms.cusp_part(e4))]
+    del d, e4
+    gc.collect()
+    assert [r() for r in refs] == [None] * 3
 
 
 @pytest.mark.parametrize("tail", [False, True])
@@ -237,8 +299,10 @@ def test_grid_is_shared_and_read_only():
     seen = []
     chain = quad.vertical_panels(1j, 12.0, 6, tail=False)
     for panels in (chain, list(chain)):
-        quad.iterated_integral([lambda z: seen.append(z) or np.ones_like(z)], panels, 16)
-    assert seen[0] is seen[1] and not seen[0].flags.writeable
+        quad.iterated_integral([lambda c: seen.append(c) or np.ones_like(c.nodes)], panels, 16)
+    assert seen[0] is seen[1]
+    assert not any(a.flags.writeable for a in (seen[0].nodes, seen[0].halves, seen[0].log,
+                                               seen[0].q, seen[0].powers(20)))
 
 
 @pytest.mark.parametrize("tol", [1e-17, 1e-19])

@@ -73,7 +73,7 @@ def _halving_chain_p1(ks, half_panels=96, eps=1e-10):
         return list(zip(pts[:-1], pts[1:]))
 
     flags = mzv._word_flags(mzv.MzvIndex(ks))
-    kernels = [(lambda z: 1.0 / (1.0 - z)) if f else (lambda z: 1.0 / z) for f in flags]
+    kernels = [(lambda c: 1.0 / (1.0 - c.nodes)) if f else (lambda c: 1.0 / c.nodes) for f in flags]
 
     def value(e):
         low = half(complex(e), half_panels)

@@ -12,6 +12,7 @@ Fricke reflection it shares with the iterint layer.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -179,46 +180,44 @@ def _word_flags(idx: MzvIndex):
     return flags
 
 
-# Panels on each half of the unit interval.  The trim ends sit 5e9 times
-# nearer to 0 and 1 than the midpoint does, so 16 panels keep a ratio of about 4
-# between neighbouring breakpoints, and Gauss-Legendre converges on each panel
-# well below the cancellation floor of the Richardson step.
-_HALF_PANELS = 16
+# Route 2's chain: 32 geometric panels from 1e-30 to 1/2, neighbouring breakpoints
+# about 8.5 apart; both node counts reach the rounding floor up to weight 7.
+_P1_PANELS = tuple(itertools.pairwise(complex(y) for y in geometric_breaks(1e-30, 0.5, 32)))
+_P1_KERNELS = (lambda c: 1.0 / c.nodes, lambda c: 1.0 / (1.0 - c.nodes))
 
 
-def _interval_panels(eps: float):
-    """Panels from eps to 1 - eps: a geometric chain from eps to 1/2, and its
-    mirror image 1 - y from 1/2 to 1 - eps."""
-    ys = geometric_breaks(eps, 0.5, _HALF_PANELS)
-    pts = [complex(y) for y in ys] + [complex(1 - y) for y in reversed(ys[:-1])]
-    return list(zip(pts[:-1], pts[1:]))
+def p1_word_integral(flags) -> tuple:
+    """(value, err) of the iterated integral of the word over the unit
+    interval, flags as in ``_word_flags``.
 
-
-def p1_word_integral(flags, eps: float = 1e-10) -> float:
-    """Iterated integral of the word over the unit interval, flags as in
-    ``_word_flags``.  The interval is trimmed to [eps, 1-eps] with panels
-    clustering at both ends; a two-point Richardson step in eps removes the
-    leading trim error."""
+    Chen's composition at 1/2 and the duality t -> 1 - t give
+    I(0->1; w) = sum_i I(0->1/2; w[:i]) I(0->1/2; w*[:n-i]), w* the word
+    reversed with dt/t and dt/(1-t) swapped: every factor is a level of one
+    sweep of w or of w*.  Both start with dt/(1-t), so each prefix integral
+    from 0 to e is O(e); by the same composition at e = 1e-30, starting the
+    chain there leaves out O(e) times integrals from e of size O(log^k e).
+    err is each level's gap between GL_ORDER and GL_ORDER + 8 nodes, carried
+    through the sum as |a| err_b + |b| err_a."""
     flags = list(flags)
     if not flags:
-        return 1.0
+        return 1.0, 0.0
     if flags[0] == 0:
         raise DivergenceError("word starts with dt/t: divergent at 0")
     if flags[-1] == 1:
         raise DivergenceError("word ends with dt/(1-t): divergent at 1")
-    kernels = [
-        (lambda c: 1.0 / (1.0 - c.nodes)) if f == 1 else (lambda c: 1.0 / c.nodes) for f in flags
-    ]
 
-    def value(e):
-        return iterated_integral(kernels, _interval_panels(e), GL_ORDER)[-1]
+    def levels(word):  # (value, err) of every prefix of the word, the empty one first
+        kernels = [_P1_KERNELS[f] for f in word]
+        coarse, fine = (iterated_integral(kernels, _P1_PANELS, g) for g in (GL_ORDER, GL_ORDER + 8))
+        return [(1.0, 0.0)] + [(b.real, abs(b - a)) for a, b in zip(coarse, fine)]
 
-    coarse, fine = value(eps), value(eps / 2)
-    return (2 * fine - coarse).real
+    pairs = list(zip(levels(flags), reversed(levels([1 - f for f in reversed(flags)]))))
+    return (math.fsum(x * y for (x, _), (y, _) in pairs),
+            sum(abs(x) * ey + abs(y) * ex for (x, ex), (y, ey) in pairs))
 
 
 def mzv_p1_integral(idx: MzvIndex) -> float:
-    return p1_word_integral(_word_flags(idx))
+    return p1_word_integral(_word_flags(idx))[0]
 
 
 # --- route 3: pullback integral on the modular curve ---------------------------

@@ -4,9 +4,10 @@ A path is a list of directed straight panels (z_start, z_end): uniform along
 a finite segment, and geometric toward a singularity.  One rule,
 ``geometric_breaks``, meshes both singular paths: the vertical descent from
 i-infinity, whose panels keep a fixed ratio of length to height, and the
-trimmed unit interval of the MZV integral, toward each end.  Each panel
-carries a fixed Gauss-Legendre grid; the grid of a panel chain is a
-``Chain``, built once per (panel chain, node count) and shared read-only.
+MZV integral's chain from 1e-30 to 1/2, which serves the whole unit interval
+by path composition and the duality t -> 1 - t.  Each panel carries a fixed
+Gauss-Legendre grid; the grid of a panel chain is a ``Chain``, built once
+per (panel chain, node count) and shared read-only.
 Nested integrals are built by one cumulative-antiderivative sweep per
 integration level, so inner values are available exactly at the outer
 level's nodes (no re-evaluation).  A sweep returns the value of every level:

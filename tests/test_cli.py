@@ -348,11 +348,9 @@ def test_mzv_suite_shows_each_route_value():
 PI4 = math.pi**4
 ZETAS = {"2": math.pi**2 / 6, "3": ZETA3, "4": PI4 / 90, "2,1": ZETA3, "3,1": PI4 / 360,
          "2,2": PI4 / 120, "2,1,1": PI4 / 90}
-# err defects that printing does not cause: the series route and the
-# iterint sweeps carry no rounding term (ROADMAP item 2)
-NO_ROUNDING_TERM = {"mzv --index 3,1 --method series", "mzv --index 2,2 --method series",
-                    "mzv --index 2,1,1 --method series", "iterint delta --s 16",
-                    "iterint delta --s 20", "iterint delta --s 24"}
+# err defects that printing does not cause: the iterint sweeps carry no
+# rounding term (ROADMAP item 2)
+NO_ROUNDING_TERM = {"iterint delta --s 16", "iterint delta --s 20", "iterint delta --s 24"}
 
 
 def _closed_forms():

@@ -58,31 +58,6 @@ def test_series_cutoff_tail_replacement():
         mzv.mzv_series(mzv.MzvIndex((2,)), cutoff=8)
 
 
-def test_p1_against_series():
-    for ks, tol in [((2,), 1e-8), ((3,), 1e-8), ((4,), 1e-7), ((2, 1), 1e-8), ((2, 2), 1e-8)]:
-        idx = mzv.MzvIndex(ks)
-        assert abs(mzv.mzv_p1_integral(idx) - mzv.mzv_series(idx)) < tol
-
-
-def _halving_chain_p1(ks, half_panels=96, eps=1e-10):
-    """p1 as it was computed on panels halving toward each trim end: the
-    breakpoints eps and a + (1/2 - a) / 2^j, j = n-1..0, on each half."""
-    def half(a, n):
-        ts = [0.0] + [0.5 ** (n - 1 - j) for j in range(n)]
-        pts = [a + (0.5 - a) * t for t in ts]
-        return list(zip(pts[:-1], pts[1:]))
-
-    flags = mzv._word_flags(mzv.MzvIndex(ks))
-    kernels = [(lambda c: 1.0 / (1.0 - c.nodes)) if f else (lambda c: 1.0 / c.nodes) for f in flags]
-
-    def value(e):
-        low = half(complex(e), half_panels)
-        high = [(b, a) for a, b in reversed(half(complex(1 - e), half_panels))]
-        return quad.iterated_integral(kernels, low + high, quad.GL_ORDER)[-1]
-
-    return (2 * value(eps / 2) - value(eps)).real
-
-
 def _admissible(max_weight):
     """Every index of weight <= max_weight whose first entry is >= 2."""
     for w in range(2, max_weight + 1):
@@ -93,17 +68,20 @@ def _admissible(max_weight):
                     yield ks
 
 
-def test_p1_matches_the_halving_chain():
-    # 16 geometric panels a half agree with 96 halving ones to the
-    # cancellation floor of the Richardson step, about 1e-11
+def test_p1_against_series():
+    # the series at cutoff 20000 is within 2.2e-16 of itself at 40000 here
     indices = list(_admissible(7))
     assert len(indices) == 63 and len(set(indices)) == 63
     for ks in indices:
-        assert abs(mzv.mzv_p1_integral(mzv.MzvIndex(ks)) - _halving_chain_p1(ks)) <= 1e-10, ks
+        idx = mzv.MzvIndex(ks)
+        value, err = mzv.p1_word_integral(mzv._word_flags(idx))
+        assert value == mzv.mzv_p1_integral(idx)
+        gap = abs(value - mzv.mzv_series(idx, cutoff=20000))
+        assert gap <= err and gap <= 1e-14, ks
 
 
 def test_p1_word_guards():
-    assert mzv.p1_word_integral([]) == 1.0
+    assert mzv.p1_word_integral([]) == (1.0, 0.0)
     with pytest.raises(DivergenceError, match="divergent at 0"):
         mzv.p1_word_integral([0, 1])
     with pytest.raises(DivergenceError, match="divergent at 1"):
@@ -168,7 +146,7 @@ def test_three_way_agreement():
         a = mzv.mzv_series(idx)
         b = mzv.mzv_p1_integral(idx)
         c = mzv.mzv_modular_integral(idx, CFG)
-        assert abs(a - b) < 1e-6
+        assert abs(a - b) <= 1e-13
         assert abs(a - c) < 1e-6
         assert abs(b - c) < 1e-6
 

@@ -196,8 +196,9 @@ def p1_word_integral(flags) -> tuple:
     sweep of w or of w*.  Both start with dt/(1-t), so each prefix integral
     from 0 to e is O(e); by the same composition at e = 1e-30, starting the
     chain there leaves out O(e) times integrals from e of size O(log^k e).
-    err is each level's gap between GL_ORDER and GL_ORDER + 8 nodes, carried
-    through the sum as |a| err_b + |b| err_a."""
+    Each sweep is one pass at GL_ORDER and GL_ORDER + 8 nodes; err is each
+    level's gap between the two, carried through the sum as
+    |a| err_b + |b| err_a, plus 2 eps sum |a||b| for rounding."""
     flags = list(flags)
     if not flags:
         return 1.0, 0.0
@@ -207,13 +208,18 @@ def p1_word_integral(flags) -> tuple:
         raise DivergenceError("word ends with dt/(1-t): divergent at 1")
 
     def levels(word):  # (value, err) of every prefix of the word, the empty one first
-        kernels = [_P1_KERNELS[f] for f in word]
-        coarse, fine = (iterated_integral(kernels, _P1_PANELS, g) for g in (GL_ORDER, GL_ORDER + 8))
-        return [(1.0, 0.0)] + [(b.real, abs(b - a)) for a, b in zip(coarse, fine)]
+        pairs = iterated_integral([_P1_KERNELS[f] for f in word], _P1_PANELS, GL_ORDER)
+        return [(1.0, 0.0)] + [(b.real, abs(b - a)) for a, b in pairs]
 
     pairs = list(zip(levels(flags), reversed(levels([1 - f for f in reversed(flags)]))))
+    # Rounding, u = 2^-53: each factor leaves its sweep through a last
+    # rounded sum (u|x|, u|y|), each product rounds once (u|xy|) and the fsum
+    # once more (u|sum| <= u sum |xy|): 4u = 2 eps of sum |x||y|.  The
+    # roundings inside a sweep differ between the two node counts and show in
+    # their gap, but where both counts round alike (zeta(2)'s levels agree to
+    # the bit) the gap is 0 and this term is all of err.
     return (math.fsum(x * y for (x, _), (y, _) in pairs),
-            sum(abs(x) * ey + abs(y) * ex for (x, ex), (y, ey) in pairs))
+            sum(abs(x) * ey + abs(y) * ex + 4 * 2.0**-53 * abs(x * y) for (x, ex), (y, ey) in pairs))
 
 
 def mzv_p1_integral(idx: MzvIndex) -> float:

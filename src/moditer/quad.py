@@ -5,15 +5,17 @@ a finite segment, and geometric toward a singularity.  One rule,
 ``geometric_breaks``, meshes both singular paths: the vertical descent from
 i-infinity, whose panels keep a fixed ratio of length to height, and the
 MZV integral's chain from 1e-30 to 1/2, which serves the whole unit interval
-by path composition and the duality t -> 1 - t.  Each panel carries a fixed
-Gauss-Legendre grid; the grid of a panel chain is a ``Chain``, built once
-per (panel chain, node count) and shared read-only.
+by path composition and the duality t -> 1 - t.  Each panel carries two
+fixed Gauss-Legendre grids, g and then g + 8 nodes; the grid of a panel
+chain is a ``Chain``, built once per (panel chain, g) and shared read-only.
 Nested integrals are built by one cumulative-antiderivative sweep per
 integration level, so inner values are available exactly at the outer
-level's nodes (no re-evaluation).  A sweep returns the value of every level:
-level j is the integral of the word kernels[:j+1], bit for bit what a sweep
-of that prefix alone returns, so one sweep serves a whole family of words
-that share their inner layers.
+level's nodes (no re-evaluation).  A sweep calls each kernel once and
+integrates both grids side by side; the gap between their values is the
+error check.  It returns the value of every level under both grids: level j
+is the integral of the word kernels[:j+1], bit for bit what a sweep of that
+prefix alone returns, so one sweep serves a whole family of words that share
+their inner layers.
 
 A Chain also holds what a q-expansion needs on its nodes: log z,
 q = e^{2 pi i z}, log max|q| and the powers q^0..q^J, so a form's values on
@@ -46,11 +48,13 @@ __all__ = [
     "adaptive_iterated",
 ]
 
-GL_ORDER = 16  # Gauss-Legendre nodes per panel; adaptive_iterated checks at GL_ORDER + 8
+GL_ORDER = 16  # Gauss-Legendre nodes per panel; every sweep also carries GL_ORDER + 8
 
 # A chain keeps its power table while the table holds at most TABLE_BYTES;
 # a wider one is built for the call that asks and then dropped.  With the 32
-# chains _grid keeps, kept tables hold at most 8 MiB.
+# chains _grid keeps, kept tables hold at most 8 MiB.  A panel chain holds
+# 2 GL_ORDER + 8 = 40 points per panel, so a 6-panel chain keeps up to 64
+# rows of powers.
 TABLE_BYTES = 1 << 18
 
 
@@ -58,8 +62,9 @@ class Chain:
     """Points z with what a q-expansion needs there.
 
     ``nodes`` are the points, made read-only (for a panel chain, the flat
-    Gauss-Legendre node array, panel by panel), and ``halves`` half of each
-    panel's directed length (None for one-off points).  ``log`` is log z, ``q`` is
+    Gauss-Legendre node array, panel by panel, each panel's g nodes followed
+    by its g + 8 nodes), and ``halves`` half of each panel's directed length
+    (None for one-off points).  ``log`` is log z, ``q`` is
     e^{2 pi i z} and ``log_r`` = log max|q| = -2 pi min Im z; where 2 pi Im z
     overflows, q is 0 and log_r is -inf, the exact limits.  Every array is
     read-only.  ``powers(J)`` hands out the table of q^0..q^J."""
@@ -110,7 +115,6 @@ def gauss_legendre(g: int):
     return x, w
 
 
-@functools.lru_cache(maxsize=4)
 def _cumulative_operator(g: int):
     """Matrix U with (U h)[i] = integral from -1 to x_i of the degree<g
     interpolant of the node values h, via the Legendre antiderivative
@@ -123,9 +127,27 @@ def _cumulative_operator(g: int):
     anti[:, 0] = x + 1.0
     for k in range(1, g):
         anti[:, k] = (pv[:, k + 1] - pv[:, k - 1]) / (2 * k + 1)
-    u = anti @ proj
-    u.setflags(write=False)
-    return u
+    return anti @ proj
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_rule(g: int):
+    """The g- and (g + 8)-node rules on [-1, 1] side by side, all read-only:
+    the 2g + 8 nodes (the g nodes first), the block weights W of shape
+    (2g + 8, 2), so that h @ W is each rule's integral of the node values h,
+    the transposed block-diagonal cumulative operator, and each node's rule
+    (0 or 1)."""
+    rules = [gauss_legendre(n) for n in (g, g + 8)]
+    x = np.concatenate([r[0] for r in rules])
+    weights = np.zeros((x.size, 2))
+    ut = np.zeros((x.size, x.size))
+    rule = np.repeat([0, 1], (g, g + 8))
+    for r, (lo, hi) in enumerate(((0, g), (g, x.size))):
+        weights[lo:hi, r] = rules[r][1]
+        ut[lo:hi, lo:hi] = _cumulative_operator(hi - lo).T
+    for arr in (x, weights, ut, rule):
+        arr.setflags(write=False)
+    return x, weights, ut, rule
 
 
 def segment_panels(a: complex, b: complex, n_panels: int):
@@ -142,8 +164,9 @@ def geometric_breaks(lo: float, hi: float, n: int) -> list:
     return [lo] + [lo * math.exp(j * step) for j in range(1, n)] + [hi]
 
 
-def vertical_panels(b: complex, height: float, n_panels: int, tail: bool):
-    """Descent path from i-infinity to b along Re z = Re b.
+def vertical_panels(b: complex, height: float, n_panels: int, tail: bool) -> tuple:
+    """Descent path from i-infinity to b along Re z = Re b, as a tuple of
+    panels.
 
     The main section runs from height down to b in n_panels pieces with
     breakpoints y_j = Im b (height / Im b)^(j / n_panels): a geometric chain,
@@ -155,9 +178,18 @@ def vertical_panels(b: complex, height: float, n_panels: int, tail: bool):
     When ``tail`` is set (needed for power-law decay), doubling panels
     extend the top to ~1e20 where even Re(s) = -1/2 layers are resolved
     below 1e-9.
+
+    Every attempt of every report asks for the same few chains, so the last
+    64 are kept.
     """
     if not b.imag > 0:
         raise DomainError("the vertical path needs Im b > 0")
+    # 0.0 and -0.0 are one key to the memo but give panels of different bits
+    return _vertical_panels(b, math.copysign(1.0, b.real), height, n_panels, tail)
+
+
+@functools.lru_cache(maxsize=64)
+def _vertical_panels(b: complex, sign: float, height: float, n_panels: int, tail: bool) -> tuple:
     x = b.real
     panels = []
     if tail:
@@ -166,19 +198,20 @@ def vertical_panels(b: complex, height: float, n_panels: int, tail: bool):
             panels.append((complex(x, height * 2.0 ** j), complex(x, height * 2.0 ** (j - 1))))
     pts = [complex(x, y) for y in reversed(geometric_breaks(b.imag, height, n_panels))]
     panels.extend(zip(pts[:-1], pts[1:]))
-    return panels
+    return tuple(panels)
 
 
 @functools.lru_cache(maxsize=32)
 def _grid(panels: tuple, g: int) -> Chain:
-    """The Chain of the panel chain with g Gauss-Legendre nodes per panel.
+    """The Chain of the panel chain with g and then g + 8 Gauss-Legendre
+    nodes per panel (_pair_rule).
 
     Built once per (panels, g) and shared while it stays among the 32 most
     recently used, so a kernel sees the same Chain object on every sweep of
     a chain and may key its values by it.  The Chain carries log z, q and
     the power table q^0..q^J its forms have asked for, each kept table at
     most TABLE_BYTES: all of it is freed when the cache drops the chain."""
-    x, _ = gauss_legendre(g)
+    x = _pair_rule(g)[0]
     starts = np.array([p[0] for p in panels], dtype=complex)
     ends = np.array([p[1] for p in panels], dtype=complex)
     halves = (ends - starts) / 2.0
@@ -189,31 +222,35 @@ def _grid(panels: tuple, g: int) -> Chain:
 
 
 def iterated_integral(kernels, panels, g: int) -> list:
-    """Nested integrals of the word over the directed panel chain, one per
-    level.
+    """Nested integrals of the word over the directed panel chain, one
+    (g-node value, (g + 8)-node value) pair per level.
 
     kernels[0] is innermost (nearest panels[0][0], the path start); entry j
     of the returned list is the full integral of kernels[j] times the
-    accumulated inner layers kernels[:j].  Every kernel is called on the
-    chain's cached Chain, so a caller may key kernel values by it.
+    accumulated inner layers kernels[:j], under either rule.  Every kernel is
+    called once, on the chain's cached Chain, which holds both rules' nodes,
+    so a caller may key kernel values by it.  The rules meet only through
+    the zero blocks of _pair_rule's weights and operator, so a finite value
+    at one rule's nodes adds exactly 0 to the other rule.
     """
-    _, w = gauss_legendre(g)
-    u = _cumulative_operator(g)
+    _, weights, ut, rule = _pair_rule(g)
     chain = _grid(tuple(panels), g)
     halves = chain.halves
 
     values = []
     inner = None
     for level, kern in enumerate(kernels):
-        k = np.asarray(kern(chain), dtype=complex).reshape(len(halves), g)
+        k = np.asarray(kern(chain), dtype=complex).reshape(len(halves), -1)
         h = k if inner is None else k * inner
-        hw = h @ w
-        values.append(complex(hw @ halves))
+        hw = h @ weights
+        pair = halves @ hw
+        values.append((complex(pair[0]), complex(pair[1])))
         if level == len(kernels) - 1:
             return values
-        per_panel = hw * halves
-        offsets = np.concatenate(([0.0], np.cumsum(per_panel)[:-1]))
-        inner = (h @ u.T) * halves[:, None] + offsets[:, None]
+        per_panel = hw * halves[:, None]
+        offsets = np.zeros(per_panel.shape, dtype=complex)
+        np.cumsum(per_panel[:-1], axis=0, out=offsets[1:])
+        inner = (h @ ut) * halves[:, None] + offsets[:, rule]
     raise ValueError("empty kernel word")
 
 
@@ -221,9 +258,10 @@ def adaptive_iterated(kernels, panel_builder, config) -> list:
     """Every level of the word, each checked on its own.
 
     Level j is served exactly as a call on kernels[:j+1] alone would be:
-    evaluate with the configured panel count and again at higher node
-    order, and double the panels until that level's two values agree within
-    tolerance.  Each attempt sweeps only up to the deepest level still open.
+    evaluate with the configured panel count at GL_ORDER and at GL_ORDER + 8
+    nodes in one sweep, and double the panels until that level's two values
+    agree within tolerance.  Each attempt sweeps only up to the deepest
+    level still open.
 
     panel_builder(n_panels) must return the panel chain.  Returns one entry
     per level: (value, error_estimate), or the AccuracyError at which that
@@ -240,17 +278,15 @@ def adaptive_iterated(kernels, panel_builder, config) -> list:
             open_levels = [j for j, r in enumerate(out) if r is None]
             if not open_levels:
                 return out
-            word = kernels[: open_levels[-1] + 1]
-            panels = panel_builder(n)
-            coarse = iterated_integral(word, panels, GL_ORDER)
-            fine = iterated_integral(word, panels, GL_ORDER + 8)
+            levels = iterated_integral(kernels[: open_levels[-1] + 1], panel_builder(n), GL_ORDER)
             for j in open_levels:
+                coarse, fine = levels[j]
                 try:
-                    gaps[j] = abs(fine[j] - coarse[j])
+                    gaps[j] = abs(fine - coarse)
                 except OverflowError:  # |gap| beyond the float range
                     gaps[j] = math.inf
                 if gaps[j] <= config.tol:  # a NaN gap fails this too
-                    out[j] = (fine[j], gaps[j])
+                    out[j] = (fine, gaps[j])
             n *= 2
     for j, r in enumerate(out):
         if r is None:

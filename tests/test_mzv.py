@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from moditer import forms, iterint, mzv, qseries, quad
+from moditer import cli, forms, iterint, mzv, qseries, quad
 from moditer.config import NumericsConfig
 from moditer.errors import DivergenceError, DomainError
 
@@ -76,8 +76,12 @@ def test_p1_against_series():
         idx = mzv.MzvIndex(ks)
         value, err = mzv.p1_word_integral(mzv._word_flags(idx))
         assert value == mzv.mzv_p1_integral(idx)
-        gap = abs(value - mzv.mzv_series(idx, cutoff=20000))
+        ref = mzv.mzv_series(idx, cutoff=20000)
+        gap = abs(value - ref)
         assert gap <= err and gap <= 1e-14, ks
+        # and the printed value within the printed err
+        shown = cli._value_entry("", value, err)
+        assert abs(shown["value"][0] - ref) <= shown["err"], ks
 
 
 def test_p1_word_guards():
@@ -163,13 +167,13 @@ def test_modular_route_to_near_machine_precision(ks):
 def test_modular_route_is_one_iterint_report(monkeypatch):
     # one report per MZV; its 2w quadratures share one innermost cusp slot
     # on each side of the split, so they are the levels of two adaptive
-    # sweeps, each a coarse and a fine sweep
+    # sweeps, each one pass at both node counts
     sweeps = []
     reports = []
     sweep, report = quad.iterated_integral, iterint.iterint_report
     monkeypatch.setattr(quad, "iterated_integral", lambda *a: sweeps.append(1) or sweep(*a))
     monkeypatch.setattr(iterint, "iterint_report", lambda *a: reports.append(1) or report(*a))
-    for ks, want in [((3,), 4), ((2, 1), 4), ((4,), 4), ((3, 1), 4), ((2, 2), 4), ((2, 1, 1), 4)]:
+    for ks, want in [((3,), 2), ((2, 1), 2), ((4,), 2), ((3, 1), 2), ((2, 2), 2), ((2, 1, 1), 2)]:
         sweeps.clear()
         reports.clear()
         mzv.mzv_modular_integral(mzv.MzvIndex(ks), CFG)

@@ -363,9 +363,10 @@ def _suite_eta(cfg) -> tuple:
     order = cfg.order
     f = qseries.builtin_form("F", order)
     g = qseries.builtin_form("G", order)
-    e1 = qseries.eta_series(1, order)
     e2 = qseries.eta_series(2, order)
-    e4 = qseries.eta_series(4, order)
+    e1_8 = qseries.eta_series(1, order) ** 8
+    e2_4 = e2**4
+    e4_8 = qseries.eta_series(4, order) ** 8
     checks = []
 
     def exact(name, lhs, rhs):
@@ -376,10 +377,10 @@ def _suite_eta(cfg) -> tuple:
         checks.append(_check_entry(name, diff, 0.0))
 
     # F starts at q^1, so the quotient's prefactor must carry exactly q^{24/24}
-    exact("F = eta(4z)^8 / eta(2z)^4", e4**8 / e2**4,
+    exact("F = eta(4z)^8 / eta(2z)^4", e4_8 / e2_4,
           qseries.QSeries(f.coeffs[1:], order - 1, 24))
-    exact("G = eta(2z)^20 / (eta(z)^8 eta(4z)^8)", e2**20 / (e1**8 * e4**8), g)
-    exact("G - 16F = eta(z)^8 / eta(2z)^4", e1**8 / e2**4, g - 16 * f)
+    exact("G = eta(2z)^20 / (eta(z)^8 eta(4z)^8)", e2**20 / (e1_8 * e4_8), g)
+    exact("G - 16F = eta(z)^8 / eta(2z)^4", e1_8 / e2_4, g - 16 * f)
     return checks, {}
 
 

@@ -140,7 +140,7 @@ def builtin(name: str, order: int) -> ModularForm:
         f = from_qseries(qseries.builtin_form("F", order), 4, 2, "F")
         g = builtin("G", order)
         _set_fricke(f, ModularForm(4, 2, "F|w4", tuple(
-            Fraction(a) - Fraction(b, 16) for a, b in zip(f.coeffs, g.coeffs)
+            Fraction(16 * a - b, 16) for a, b in zip(f.coeffs, g.coeffs)
         )))
         return f
     if name == "delta" or (name.startswith("E") and name[1:].isdigit()):

@@ -6,7 +6,10 @@ what eta quotients need.  All arithmetic is exact; identities between
 built-ins (eta quotients, log-derivatives) are therefore testable as
 equalities, not float comparisons.  eta is Euler's pentagonal series, and
 every power -- delta = q eta^24, theta^4, the eta quotients -- goes through
-one routine, Miller's recurrence, with one exact division per coefficient.
+one routine, Miller's recurrence.  Division and powers divide each
+coefficient exactly: in Python integers wherever the quotient is integral,
+as it is for eta, theta, delta, F and G (integer coefficients, unit lead),
+and as a Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -30,9 +33,18 @@ __all__ = [
 
 
 def _norm(x):
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
+        return x.numerator
     return x
+
+
+def _exact_div(acc, d):
+    # acc / d: an int when both are ints and d divides acc, else via Fraction
+    if type(acc) is int and type(d) is int and not acc % d:
+        return acc // d
+    return _norm(Fraction(acc, d))
 
 
 def _valuation(coeffs):
@@ -176,14 +188,16 @@ def _mul_coeffs(a, b, m):
 
 def _div_coeffs(a, b, m):
     # acc stays in the coefficients' own type; one exact division per term
+    terms = [(j, b[j]) for j in range(1, min(m, len(b) - 1) + 1) if b[j]]
     lead = b[0]
     out = []
     for n in range(m + 1):
         acc = a[n] if n < len(a) else 0
-        for j in range(1, min(n, len(b) - 1) + 1):
-            if b[j]:
-                acc -= b[j] * out[n - j]
-        out.append(_norm(Fraction(acc, lead)))
+        for j, bj in terms:
+            if j > n:
+                break
+            acc -= bj * out[n - j]
+        out.append(_exact_div(acc, lead))
     return tuple(out)
 
 
@@ -198,7 +212,7 @@ def _pow_coeffs(u, k, m):
             if j > n:
                 break
             acc += ((k + 1) * j - n) * uj * g[n - j]
-        g.append(_norm(Fraction(acc, n * u[0])))
+        g.append(_exact_div(acc, n * u[0]))
     return tuple(g)
 
 

@@ -1,8 +1,14 @@
 import os
 
-import pytest
+# One BLAS thread, as the benchmark worker runs: set before anything loads
+# numpy, since OpenBLAS reads it once.  Small products like the J x 240
+# power-table product in forms.horner_many otherwise cross OpenBLAS's
+# threading threshold and run slower threaded on a small host.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from moditer import forms
+import pytest  # noqa: E402
+
+from moditer import forms  # noqa: E402
 
 
 @pytest.fixture(autouse=True)

@@ -10,6 +10,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -465,6 +466,89 @@ def test_eta_quotient_identities_order_200():
     assert lhs.prefactor_num == 0
     diff = g - 16 * f
     assert lhs.coeffs == diff.coeffs[: lhs.order + 1]
+
+
+# ------------------------------------- integer division against Fraction only
+
+def _fraction_norm(x):
+    return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+def _fraction_div_coeffs(a, b, m):
+    # one Fraction per coefficient, whatever the types: the reference the
+    # integer fast path must reproduce value for value and type for type
+    lead = b[0]
+    out = []
+    for n in range(m + 1):
+        acc = a[n] if n < len(a) else 0
+        for j in range(1, min(n, len(b) - 1) + 1):
+            if b[j]:
+                acc -= b[j] * out[n - j]
+        out.append(_fraction_norm(Fraction(acc, lead)))
+    return tuple(out)
+
+
+def _fraction_pow_coeffs(u, k, m):
+    terms = [(j, u[j]) for j in range(1, min(m, len(u) - 1) + 1) if u[j]]
+    g = [u[0] ** k]
+    for n in range(1, m + 1):
+        acc = 0
+        for j, uj in terms:
+            if j > n:
+                break
+            acc += ((k + 1) * j - n) * uj * g[n - j]
+        g.append(_fraction_norm(Fraction(acc, n * u[0])))
+    return tuple(g)
+
+
+def fraction_path():
+    return mock.patch.multiple(qseries, _div_coeffs=_fraction_div_coeffs,
+                               _pow_coeffs=_fraction_pow_coeffs)
+
+
+@pytest.mark.parametrize("name", ["F", "G", "theta4", "delta", "E4", "E6", "E12"])
+def test_builtin_matches_the_fraction_path_to_q4000(name):
+    with fraction_path():
+        want = builtin_form(name, 4000)
+    same_series(builtin_form(name, 4000), want)
+
+
+QUOTIENTS_AT_400 = {
+    "lambda": lambda: builtin_form("lambda", 400),
+    "logderiv(delta)": lambda: logderiv(builtin_form("delta", 400)),
+    "eta(4z)^8/eta(2z)^4": lambda: eta_series(4, 400) ** 8 / eta_series(2, 400) ** 4,
+    "eta(2z)^20/(eta(z)^8 eta(4z)^8)":
+        lambda: eta_series(2, 400) ** 20 / (eta_series(1, 400) ** 8 * eta_series(4, 400) ** 8),
+    "eta(z)^8/eta(2z)^4": lambda: eta_series(1, 400) ** 8 / eta_series(2, 400) ** 4,
+}
+
+
+@pytest.mark.parametrize("name", list(QUOTIENTS_AT_400))
+def test_quotient_matches_the_fraction_path_to_q400(name):
+    with fraction_path():
+        want = QUOTIENTS_AT_400[name]()
+    same_series(QUOTIENTS_AT_400[name](), want)
+
+
+@st.composite
+def int_series(draw):
+    """Integer coefficients after a lead of 1, -1, 2 or 3 (so / and **-n
+    meet both integral and non-integral quotients), a few leading zeros."""
+    order = draw(st.integers(0, 10))
+    zeros = draw(st.integers(0, 2))
+    lead = draw(st.sampled_from((1, -1, 2, 3)))
+    body = draw(st.lists(st.integers(-9, 9), min_size=order, max_size=order))
+    return q_jet([0] * zeros + [lead] + body, order + zeros, draw(st.sampled_from((0, 1, 24))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_series(), int_series(), st.integers(1, 5))
+def test_integer_path_matches_the_fraction_path(x, y, n):
+    got = (x / y, x ** n, x ** -n)
+    with fraction_path():
+        want = (x / y, x ** n, x ** -n)
+    for a, b in zip(got, want):
+        same_series(a, b)
 
 
 # ---------------------------------------------------------------- logderiv

@@ -363,10 +363,10 @@ def _suite_eta(cfg) -> tuple:
     order = cfg.order
     f = qseries.builtin_form("F", order)
     g = qseries.builtin_form("G", order)
+    e1_8 = qseries.eta_series(1, order)**8
     e2 = qseries.eta_series(2, order)
-    e1_8 = qseries.eta_series(1, order) ** 8
     e2_4 = e2**4
-    e4_8 = qseries.eta_series(4, order) ** 8
+    e4_8 = qseries.eta_series(4, order)**8
     checks = []
 
     def exact(name, lhs, rhs):

@@ -1,9 +1,8 @@
 import os
 
 # One BLAS thread, as the benchmark worker runs: set before anything loads
-# numpy, since OpenBLAS reads it once.  Small products like the J x 240
-# power-table product in forms.horner_many otherwise cross OpenBLAS's
-# threading threshold and run slower threaded on a small host.
+# numpy, since OpenBLAS reads it once.  Small products such as the power-table
+# product in forms.horner_many run slower threaded on a small host.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest  # noqa: E402

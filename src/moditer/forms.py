@@ -34,17 +34,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModularForm:
+    """A finite q-expansion on Gamma_0(level).  Forms compare and hash by
+    identity: two forms with equal fields are two forms."""
+
     level: int
     weight: int
     label: str
     coeffs: tuple  # a_0 .. a_M, int | Fraction | float | complex
     chi: str = "trivial"
     # companion series g with g(z) = N^{-k/2} z^{-k} f(-1/(Nz)); wired for
-    # built-ins, settable on ingested forms; excluded from equality/hash to
-    # keep the mutual references finite.
-    fricke: "ModularForm | None" = field(default=None, compare=False, repr=False)
+    # built-ins, settable on ingested forms
+    fricke: "ModularForm | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.level < 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -101,58 +102,53 @@ class _Sweeps:
     """Every adaptive sweep of one report or one nested_quadrature call along
     one panel chain, dropped when the call returns.
 
-    A sweep stores each level of its word under that level's prefix, keyed
-    ((id(form), s), ...) innermost first.  Level j is bit for bit a sweep of
-    word[:j+1] alone (see quad), so a word whose prefix is stored runs no new
-    sweep.  Per quad.Chain the table runs evaluate_many once per form and
-    f z^{s-1} once per (form, s), from the chain's own log z, each with the
+    A sweep stores each level of its word under that level's prefix: the
+    tuple of its KernelSpecs, innermost first, which compare by form
+    identity and exponent.  Level j is bit for bit a sweep of word[:j+1]
+    alone (see quad), so a word whose prefix is stored runs no new sweep.
+    Per quad.Chain the table runs evaluate_many once per form and f z^{s-1}
+    once per KernelSpec, from the chain's own log z, each with the
     expression of a lone kernel evaluation, so every array is bit-identical
-    to one.  Kernel values are keyed by the Chain object itself, which the
-    table holds, so a chain that quad's cache drops and rebuilds is a new
-    key."""
+    to one.  Kernel values are keyed by the Chain object itself, and then
+    by the form and by the KernelSpec; the table holds each key, so a chain
+    that quad's cache drops and rebuilds is a new key."""
 
     def __init__(self, builder, config: NumericsConfig):
         self.builder = builder
         self.config = config
-        self._levels = {}  # prefix key -> (value, err), or the AccuracyError it stalled at
-        self._grids = {}  # Chain -> {id(form): f(z), (id(form), s): kernel}
-        self._forms = {}  # id -> form: keeps every id-keyed form alive while the table is
+        self._levels = {}  # prefix -> (value, err), or the AccuracyError it stalled at
+        self._grids = {}  # Chain -> {form: f(z), KernelSpec: kernel}
 
     def level(self, word, depth: int):
         """(value, err) of word[:depth+1], read innermost first, or raise its
         stall.  A prefix not yet stored sweeps the whole word."""
-        keys = [(id(ks.form), complex(ks.s)) for ks in word]
-        key = tuple(keys[: depth + 1])
-        if key not in self._levels:
-            kernels = [self._kernel(ks.form, s) for ks, (_, s) in zip(word, keys)]
+        word = tuple(word)
+        if word[: depth + 1] not in self._levels:
+            kernels = [partial(self._value, ks) for ks in word]
             for j, result in enumerate(quad.adaptive_iterated(kernels, self.builder, self.config)):
-                self._levels[tuple(keys[: j + 1])] = result
-        result = self._levels[key]
+                self._levels[word[: j + 1]] = result
+        result = self._levels[word[: depth + 1]]
         if isinstance(result, AccuracyError):
             raise result
         return result
 
-    def _kernel(self, form, s: complex):
-        self._forms[id(form)] = form
-        return lambda chain: self._value(form, s, chain)
-
-    def _value(self, form, s, chain):
+    def _value(self, ks: KernelSpec, chain):
         grid = self._grids.setdefault(chain, {})
-        key = (id(form), s)
-        if key not in grid:
-            power = np.exp((s - 1) * chain.log)
-            if form is not None and id(form) not in grid:
-                grid[id(form)] = evaluate_many(form, chain)
-            grid[key] = power if form is None else grid[id(form)] * power
-        return grid[key]
+        if ks not in grid:
+            power = np.exp((complex(ks.s) - 1) * chain.log)
+            if ks.form is not None and ks.form not in grid:
+                grid[ks.form] = evaluate_many(ks.form, chain)
+            grid[ks] = power if ks.form is None else grid[ks.form] * power
+        return grid[ks]
 
 
-def _closed_power(b: complex, exponent: complex) -> complex:
-    """b^exponent; DomainError past the float range."""
+def _closed_power(b: complex, exponent: complex, what) -> complex:
+    """b^exponent as exp(exponent log b); past the float range a DomainError
+    names what(), the caller's quantity, built only then."""
     try:
         return cmath.exp(exponent * cmath.log(b))
-    except OverflowError:
-        raise DomainError(f"closed form ({b:.4g})^({exponent:.4g}) leaves the float range") from None
+    except (OverflowError, ValueError):  # an inf times 0 in the exponent ends in a NaN
+        raise DomainError(f"{what()} leaves the float range") from None
 
 
 def ones_closed_form(b: complex, s_vec) -> complex:
@@ -258,7 +254,9 @@ class _Side:
         total = 0j
         err = 0.0
         if self.T[p] != 0:
-            total += complex(self.T[p]) * _closed_power(self.b, self.S[p]) * self._fold(p, divisors)
+            power = _closed_power(self.b, self.S[p],
+                                  lambda: f"closed form ({self.b:.4g})^({self.S[p]:.4g})")
+            total += complex(self.T[p]) * power * self._fold(p, divisors)
         for i in range(p - 1, -1, -1):
             if i in self.words:
                 coeff = complex(self.T[i]) * self._fold(i, divisors)
@@ -316,14 +314,8 @@ def iterint_report(spec: IterSpec, config: NumericsConfig = NumericsConfig()) ->
         plain_v, plain_err = plain.piece(n - m, divisors)
         sum_s = sum(ks.s for ks in kernels[:m])
         sum_k = sum(0 if ks.form is None else ks.form.weight for ks in kernels[:m])
-        try:
-            pref = cmath.exp(1j * cmath.pi * sum_s) * cmath.exp(
-                (-sum_s + sum_k / 2.0) * math.log(N)
-            )
-        except (OverflowError, ValueError):  # pi * sum_s past the float range ends in a NaN
-            raise DomainError(
-                f"Fricke prefactor at exponent sum {sum_s:.4g} leaves the float range"
-            ) from None
+        what = lambda: f"Fricke prefactor at exponent sum {sum_s:.4g}"
+        pref = _closed_power(-1, sum_s, what) * _closed_power(N, -sum_s + sum_k / 2.0, what)
         inner, inner_err = mirror.piece(m, divisors)
         refl, refl_err = pref * inner, abs(pref) * inner_err
         total += plain_v * refl
@@ -338,7 +330,8 @@ def iterint_full(spec: IterSpec, config: NumericsConfig = NumericsConfig()) -> c
 def completed_Z(spec: IterSpec, config: NumericsConfig = NumericsConfig()) -> complex:
     """Z = N^{(s_1+..+s_n)/2} I_{i-inf}^0."""
     sum_s = sum(ks.s for ks in spec.kernels)
-    scale = cmath.exp(sum_s / 2.0 * math.log(spec.level))
+    N = spec.level
+    scale = _closed_power(N, sum_s / 2.0, lambda: f"scale {N}^({sum_s / 2.0:.4g}) of Z")
     return scale * iterint_full(spec, config)
 
 
@@ -372,7 +365,9 @@ def _shells(word, exps, cutoff: int) -> np.ndarray:
         upto = min(cutoff, len(f.coeffs) - 1)
         coeffs[1 : upto + 1] = f._np_coeffs[1 : upto + 1]
         acc = coeffs if acc is None else _conv_parts(coeffs, acc, n)
-        acc[1:] *= np.exp(-complex(e) * log_t)
+        with np.errstate(over="ignore"):  # an exponent past the float range: exp(-inf) is the exact 0
+            scaled = -complex(e) * log_t
+        acc[1:] *= np.exp(scaled)
     return acc
 
 
@@ -403,7 +398,10 @@ def tilde_I_fourier(spec: IterSpec, z: complex, config: NumericsConfig = Numeric
     starts = [0] + [i + 1 for i in form_slots[:-1]]
     exps = [sum(alphas[a : b + 1]) for a, b in zip(starts, form_slots)]
     acc = _shells([kernels[i].form for i in form_slots], exps, config.order)
-    gamma_factor = (-1) ** len(kernels) * math.prod(math.factorial(a - 1) for a in alphas)
+    try:
+        gamma_factor = float((-1) ** len(kernels) * math.prod(math.factorial(a - 1) for a in alphas))
+    except OverflowError:
+        raise DomainError("I-tilde Gamma factor prod (alpha_i - 1)! leaves the float range") from None
     total_alpha = sum(alphas)
     series = complex(evaluate_series(acc, [z])[0])  # sum_{t>=1} acc[t] q^t; acc[0] = 0
     return gamma_factor * (-2j * cmath.pi) ** (-total_alpha) * series

@@ -86,10 +86,7 @@ def L_direct(spec: LSpec, config: NumericsConfig = NumericsConfig(), force: bool
     # the prefactor first: an exponent past the float range stops here, named,
     # before the cascade warns of overflow
     sum_s = sum(complex(v) for v in spec.s)
-    try:
-        pref = cmath.exp(-sum_s * cmath.log(-2j * cmath.pi))
-    except (OverflowError, ValueError):
-        raise DomainError(f"prefactor (-2 pi i)^-({sum_s:.4g}) leaves the float range") from None
+    pref = iterint._closed_power(-2j * cmath.pi, -sum_s, lambda: f"prefactor (-2 pi i)^-({sum_s:.4g})")
     shells = iterint._shells(spec.forms, spec.s, C)
     value = pref * complex(shells.sum())
 
@@ -123,12 +120,11 @@ def _evaluate_terms(tl, word_forms, s0: complex, value) -> complex:
     return total
 
 
-def evaluate_L_terms(tl, word_forms, s0: complex, config: NumericsConfig = NumericsConfig(),
-                     force: bool = False) -> complex:
+def evaluate_L_terms(tl, word_forms, s0: complex, config: NumericsConfig = NumericsConfig()) -> complex:
     """Numeric value of Terms whose targets are multiple L-values."""
     return _evaluate_terms(
         tl, word_forms, s0,
-        lambda sub, args: L_direct(LSpec(tuple(sub), args), config, force=force).value,
+        lambda sub, args: L_direct(LSpec(tuple(sub), args), config).value,
     )
 
 

@@ -106,9 +106,8 @@ class Chain:
         return table[: J + 1]
 
 
-@functools.lru_cache(maxsize=4)
 def gauss_legendre(g: int):
-    """Nodes and weights on [-1, 1], cached and read-only."""
+    """Nodes and weights on [-1, 1], read-only; _pair_rule caches them."""
     x, w = np.polynomial.legendre.leggauss(g)
     x.setflags(write=False)
     w.setflags(write=False)

@@ -185,6 +185,17 @@ def test_prefactor_overflow_is_named(argv, message):
     assert named_error(*argv, flags=("-W", "error")) == message
 
 
+@pytest.mark.parametrize("argv", [("lvalue", "delta", "delta", "--s", "1e308,1"),
+                                  ("lvalue", "delta", "--s", "1e308")])
+def test_shell_exponent_past_the_float_range_is_zero(capsys, argv):
+    # t^-1e308 is exactly 0 for t >= 2: filterwarnings = error turns a numpy
+    # overflow warning on the way into a failure
+    code, rep = run_json(capsys, *argv)
+    assert code == 0
+    (v,) = rep["values"]
+    assert v["value"] == [0.0, 0.0]
+
+
 def test_qexp_prints_integers_only_for_integral_coefficients(capsys):
     # past 2^53 every float is integral, so a_18.. of E12 (denominator 691)
     # must still print as 15-digit floats, not as the floor of their value

@@ -45,6 +45,14 @@ def test_builtin_memo_returns_the_same_form():
         assert forms.builtin(name, 40).fricke is f.fricke
 
 
+def test_forms_compare_by_identity():
+    # a form is an object: equal fields make two forms, each its own key
+    a = forms.ModularForm(1, 12, "f", (0, 1, -24))
+    b = forms.ModularForm(1, 12, "f", (0, 1, -24))
+    assert a != b and a == a
+    assert len({a, b}) == 2
+
+
 def test_builtin_memo_is_bounded():
     maxsize = forms.builtin.cache_info().maxsize
     first = weakref.ref(forms.builtin("E6", 3))

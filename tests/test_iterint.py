@@ -86,6 +86,12 @@ def test_ones_overflow_is_named():
         iterint.iterint_report(make_spec([(forms.builtin("G", 64), -1e308)]))
 
 
+def test_completed_Z_overflow_is_named():
+    # 64^1050 is past the float range: the scale N^(s/2) of Z ends in a named error
+    with pytest.raises(DomainError, match="leaves the float range$"):
+        iterint.completed_Z(make_spec([(forms.builtin("G", 64), 2100.0)]))
+
+
 def test_ones_continuation_matches_quadrature():
     rng = random.Random(7)
     for _ in range(5):
@@ -707,6 +713,13 @@ def test_tilde_fourier_periodicity(delta2100):
     a = iterint.tilde_I_fourier(make_spec([(delta2100, 2)]), z, CFG)
     b = iterint.tilde_I_fourier(make_spec([(delta2100, 2)]), z + 1, CFG)
     assert abs(a - b) < 1e-13 * max(1.0, abs(a))
+
+
+def test_tilde_fourier_gamma_overflow_is_named():
+    # 199! is past the float range, so the Gamma factor is refused by name
+    spec = make_spec([(forms.builtin("delta", 300), 200)])
+    with pytest.raises(DomainError, match="Gamma factor .* leaves the float range"):
+        iterint.tilde_I_fourier(spec, 0.1 + 0.5j)
 
 
 def test_tilde_fourier_rejects(e4_200, delta2100):

@@ -47,6 +47,9 @@ class ModularForm:
     # companion series g with g(z) = N^{-k/2} z^{-k} f(-1/(Nz)); wired for
     # built-ins, settable on ingested forms
     fricke: "ModularForm | None" = field(default=None, repr=False)
+    # (C, g) with |a_n| <= C n^g for every n >= 1, proven for the built-ins
+    # (see builtin); None where no bound is known, as for loaded forms
+    growth: "tuple | None" = None
 
     def __post_init__(self):
         if self.level < 1:
@@ -94,7 +97,7 @@ class ModularForm:
     def _cusp_part(self) -> "ModularForm":
         # built once and kept beside _np_coeffs: one cusp part per live form
         return ModularForm(self.level, self.weight, self.label + "^0",
-                           (0,) + self.coeffs[1:], self.chi)
+                           (0,) + self.coeffs[1:], self.chi, growth=self.growth)
 
 
 def _coeff_as(f: ModularForm, n: int, kind):
@@ -111,12 +114,39 @@ def _set_fricke(f: ModularForm, g: ModularForm):
     object.__setattr__(g, "fricke", f)
 
 
-def from_qseries(qs: qseries.QSeries, level: int, weight: int, label: str) -> ModularForm:
+def from_qseries(qs: qseries.QSeries, level: int, weight: int, label: str,
+                 growth: tuple | None = None) -> ModularForm:
     if qs.prefactor_num % 24:
         raise DomainError("series with fractional q-powers is not a form on Gamma_0(N)")
     shift = qs.prefactor_num // 24
     coeffs = (0,) * shift + qs.coeffs
-    return ModularForm(level, weight, label, tuple(coeffs))
+    return ModularForm(level, weight, label, tuple(coeffs), growth=growth)
+
+
+# sigma(n) = n sum_{d | n} 1/d <= n (1 + ln n), and (1 + ln n) / n^(1/4) peaks
+# at n = e^3, where it is 4 e^(-3/4) = 1.8895..: so sigma(n) <= 1.89 n^(5/4).
+_SIGMA = (1.89, 1.25)
+
+
+def _zeta_upper(x: float) -> float:
+    """An upper bound on zeta(x), x > 1: the terms m <= 64 summed, and the rest
+    below the integral of t^-x from 64, since t^-x decreases; raised by 1e-12
+    of itself, far above the rounding of these 65 float terms."""
+    return (sum(m ** -x for m in range(1, 65)) + 64.0 ** (1 - x) / (x - 1)) * (1 + 1e-12)
+
+
+def _eisenstein_growth(k: int) -> tuple:
+    # a_n = (-2k/B_k) sigma_{k-1}(n), and sigma_{k-1}(n) = n^{k-1} sum_{d | n}
+    # d^{1-k} <= zeta(k-1) n^{k-1}; E2 (k = 2) has a_n = -24 sigma(n)
+    if k == 2:
+        return (24 * _SIGMA[0], _SIGMA[1])
+    return (abs(float(Fraction(2 * k) / qseries.bernoulli(k))) * _zeta_upper(k - 1), k - 1)
+
+
+def _sum_growth(*parts) -> tuple:
+    """(C, g) of sum_i c_i f_i with (|c_i|, f_i's (C_i, g)) in parts, all of one
+    g: |sum_i c_i a_n(f_i)| <= (sum_i |c_i| C_i) n^g by the triangle inequality."""
+    return (sum(c * C for c, (C, _) in parts), parts[0][1][1])
 
 
 @lru_cache(maxsize=32)
@@ -128,6 +158,13 @@ def builtin(name: str, order: int) -> ModularForm:
     F-tilde = F - G/16; level-1 forms are self-companion (weight even),
     except E2, which is only quasimodular and gets none.
 
+    Each form and companion carries its proven coefficient bound `growth`:
+    Delta (2, 6), since |tau(n)| <= d(n) n^(11/2) (Deligne) and d(n) <= 2 sqrt(n)
+    (a divisor d <= sqrt(n) pairs with n/d); E<k> (|2k/B_k| zeta(k-1), k-1);
+    F (1.89, 5/4) and E2 (24 * 1.89, 5/4) from sigma(n) <= 1.89 n^(5/4); G
+    (8 * 1.89, 5/4), since r_4(n) = 8 sum_{d | n, 4 does not divide d} d <=
+    8 sigma(n); the companions by the triangle inequality.
+
     Built once per (name, order) and shared: the form is frozen and its
     companion is wired here.  The memo keeps the 32 most recently used
     keys, a fixed bound with room for several orders of every form (the
@@ -135,20 +172,21 @@ def builtin(name: str, order: int) -> ModularForm:
     call, since errors are not cached.
     """
     if name in ("G", "theta4"):
-        g = from_qseries(qseries.builtin_form("G", order), 4, 2, "G")
-        _set_fricke(g, ModularForm(4, 2, "G|w4", tuple(-b for b in g.coeffs)))
+        growth = (8 * _SIGMA[0], _SIGMA[1])
+        g = from_qseries(qseries.builtin_form("G", order), 4, 2, "G", growth)
+        _set_fricke(g, ModularForm(4, 2, "G|w4", tuple(-b for b in g.coeffs), growth=growth))
         return g
     if name == "F":
-        f = from_qseries(qseries.builtin_form("F", order), 4, 2, "F")
+        f = from_qseries(qseries.builtin_form("F", order), 4, 2, "F", _SIGMA)
         g = builtin("G", order)
         _set_fricke(f, ModularForm(4, 2, "F|w4", tuple(
             Fraction(16 * a - b, 16) for a, b in zip(f.coeffs, g.coeffs)
-        )))
+        ), growth=_sum_growth((1, f.growth), (1 / 16, g.growth))))
         return f
     if name == "delta" or (name.startswith("E") and name[1:].isdigit()):
         qs = qseries.builtin_form(name, order)
         weight = 12 if name == "delta" else int(name[1:])
-        f = from_qseries(qs, 1, weight, name)
+        f = from_qseries(qs, 1, weight, name, (2, 6) if name == "delta" else _eisenstein_growth(weight))
         if weight != 2:
             _set_fricke(f, f)  # level 1, even weight: f|w1 = f
         return f

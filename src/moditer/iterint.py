@@ -10,6 +10,7 @@ the starting endpoint.  Kernel slots may hold the constant 1.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -348,6 +349,11 @@ def _shells(word, exps, cutoff: int) -> np.ndarray:
     / prod_i (m_i+..+m_n)^{e_i} for T = 0..cutoff, acc[0] = 0; a form of order
     below cutoff counts as zero past it.
 
+    Shells T < cutoff are bit for bit those of a cascade to any larger
+    cutoff; shell T = cutoff may round differently, as np.convolve forms its
+    full-overlap output apart.  So a caller that stops early (_shell_cut)
+    gets the full cascade's first shells.
+
     A convolution cascade, innermost first, in real arithmetic where it can
     be: a step whose form coefficients and running shells are both real
     convolves their real parts only (_conv_parts), so a word of real forms
@@ -371,6 +377,125 @@ def _shells(word, exps, cutoff: int) -> np.ndarray:
     return acc
 
 
+# log 2^-53, the unit roundoff: a cascade stops where the proven bound on the
+# shells past it is at most this share of its first shell
+_LOG_ROUNDOFF = -53 * math.log(2.0)
+
+
+def _xlogx(x: float) -> float:
+    return x * math.log(x) if x else 0.0
+
+
+def _conv_bound(g: float, p: float, log_ref: float) -> tuple:
+    """(log c, h) with sum_{u=1}^{t-1} (t-u)^g u^p <= c t^(g+h) for every
+    t >= 1, where g >= 0.
+
+    p >= 0: x -> (t-x)^g x^p is unimodal on [0, t].  Summed over integers, a
+    unimodal function is at most its integral plus its peak: a point off
+    the peak lies below the integral over the unit interval on its far side
+    from the peak, and the two points around the peak sum to at most the
+    peak plus their minimum, which lies below the integral between them.
+    The integral is B(g+1, p+1) t^(g+p+1); the peak, at x = pt/(g+p), is
+    m t^(g+p) with m = g^g p^p / (g+p)^(g+p) <= 1.  The sum is empty at
+    t = 1, so t^(g+p) <= t^(g+p+1)/2 folds both into c = B + m/2, h = p + 1.
+
+    p < 0: (t-u)^g <= t^g, and u^p <= u^q for any q >= p.  For -1 < q <= 0,
+    u^q is at most the integral of x^q over [u-1, u], so the sum is at most
+    t^(g+q+1)/(q+1); q + 1 = 1/log_ref makes that least at t = e^log_ref.
+    For p < -1 the sum of u^p is also at most zeta(-p) <= 1 + 1/(-p-1)
+    (integral comparison from u = 1), with h = 0.  Of the valid bounds this
+    takes the smaller at t = e^log_ref."""
+    if p >= 0:
+        log_b = math.lgamma(g + 1) + math.lgamma(p + 1) - math.lgamma(g + p + 2)
+        log_m = _xlogx(g) + _xlogx(p) - _xlogx(g + p) - math.log(2.0)
+        hi, lo = max(log_b, log_m), min(log_b, log_m)
+        return hi + math.log1p(math.exp(lo - hi)), p + 1
+    h = min(1.0, max(p + 1, 1 / log_ref))
+    bounds = [(-math.log(h), h)]
+    if p < -1:
+        bounds.append((math.log(-p) - math.log(-p - 1), 0.0))
+    return min(bounds, key=lambda b: b[0] + b[1] * log_ref)
+
+
+def _shell_majorant(word, exps, log_ref: float):
+    """(log K, r) with |S_T| <= K T^r for every T >= 1, S_T the shells of
+    _shells(word, exps, .); None where a form carries no growth bound.
+
+    Built innermost first, as the cascade runs: the innermost step's shells
+    are a_m m^-e, so K = C and r = g - Re e for the form's growth (C, g).  A
+    later step convolves its a_m, |a_m| <= C m^g, with the inner shells,
+    at most K' u^r', and scales by T^-e: by _conv_bound, K = C K' c and
+    r = g + h - Re e.  log_ref is where _conv_bound picks among its bounds."""
+    log_k = r = None
+    for f, e in zip(reversed(word), reversed(exps)):
+        if f.growth is None:
+            return None
+        C, g = f.growth
+        if log_k is None:
+            log_k, r = math.log(C), g
+        else:
+            log_c, h = _conv_bound(g, r, log_ref)
+            log_k, r = log_k + math.log(C) + log_c, g + h
+        r -= complex(e).real
+    return log_k, r
+
+
+def _shell_cut(word, exps, cutoff: int, log_q: float | None = None):
+    """(T0, log B) for the least T0 < cutoff whose proven tail bound B is at
+    most 2^-53 |S_n|, or None where no T0 < cutoff qualifies: a form without
+    growth, S_n = 0, a majorant exponent r >= -1, or too slow a decay.
+
+    S_n, n = len(word), is the first shell that can be nonzero.  It has the
+    one composition m_1 = .. = m_n = 1, so it is known in closed form:
+    |S_n| = prod_i |a^(i)_1| (n-i+1)^-Re e_i, taken here in logs.  With
+    (K, r) from _shell_majorant:
+    - for L_direct (log_q None), B bounds sum_{T > T0} |S_T|: K T^r
+      decreases for r < -1 and lies below the integral of K x^r over
+      [T-1, T], so B = K T0^(r+1) / (-r-1);
+    - for a q-series (log_q = log|q| < 0), B bounds
+      sum_{T > T0} |S_T| |q|^T, and the target is 2^-53 |S_n| |q|^n: the
+      ratio of consecutive terms K T^r |q|^T is at most
+      rho = |q| ((T0+2)/(T0+1))^max(r, 0) from T0 + 1 on, so
+      B = K (T0+1)^r |q|^(T0+1) / (1 - rho) where rho < 1.
+    Both bounds fall as T0 grows, so a bisection finds T0.  Everything
+    runs in math logs, so exponents near the float range neither warn nor
+    overflow."""
+    n = len(word)
+    if cutoff <= n:
+        return None
+    try:
+        majorant = _shell_majorant(word, exps, math.log(cutoff))
+    except (OverflowError, ValueError):  # lgamma past the float range
+        return None
+    a1 = [abs(complex(f.coeffs[1])) if len(f.coeffs) > 1 else 0.0 for f in word]
+    if majorant is None or not all(a1):
+        return None
+    log_k, r = majorant
+    log_first = sum(math.log(a) - complex(e).real * math.log(n - i) for i, (a, e) in enumerate(zip(a1, exps)))
+    if log_q is None:
+        if not r < -1:
+            return None
+        target = log_first + _LOG_ROUNDOFF
+
+        def log_tail(T):
+            return log_k + (r + 1) * math.log(T) - math.log(-r - 1)
+    else:
+        target = log_first + n * log_q + _LOG_ROUNDOFF
+
+        def log_tail(T):
+            log_rho = log_q + max(r, 0.0) * math.log1p(1 / (T + 1))
+            if not log_rho < 0:
+                return math.inf
+            return log_k + r * math.log(T + 1) + (T + 1) * log_q - math.log1p(-math.exp(log_rho))
+
+    if not log_tail(cutoff - 1) <= target:  # no cut, the common case: one look
+        return None
+    # bisect_left returns an index whose key it has seen true; a NaN
+    # compares false, so it never ends a cut
+    T0 = n + bisect.bisect_left(range(n, cutoff), True, key=lambda T: log_tail(T) <= target)
+    return T0, log_tail(T0)
+
+
 def tilde_I_fourier(spec: IterSpec, z: complex, config: NumericsConfig = NumericsConfig()) -> complex:
     """Fourier-series value of the shifted integral I-tilde at z.
 
@@ -378,7 +503,14 @@ def tilde_I_fourier(spec: IterSpec, z: complex, config: NumericsConfig = Numeric
     positive integer exponents, ending in a form.  The coefficient of q^t is
     the T = t shell of L(forms; block exponents), where a form's block
     exponent sums its own exponent and those of the 1-slots just before it;
-    the shells come from _shells, the cascade L_direct sums.
+    the shells come from _shells, the cascade L_direct sums.  The cascade
+    runs to config.order, or to the least T0 where _shell_cut proves the
+    terms past it below 2^-53 of the first.
+
+    The factor Gamma (-2 pi i)^-alpha, Gamma = (-1)^n prod (alpha_i - 1)!, is
+    taken in floats where the exact product is in the float range, and in
+    logs by math.lgamma where it is not; a value itself past the float range
+    is refused by name.
     """
     kernels = spec.kernels
     alphas = []
@@ -397,13 +529,24 @@ def tilde_I_fourier(spec: IterSpec, z: complex, config: NumericsConfig = Numeric
     form_slots = [i for i, ks in enumerate(kernels) if ks.form is not None]
     starts = [0] + [i + 1 for i in form_slots[:-1]]
     exps = [sum(alphas[a : b + 1]) for a, b in zip(starts, form_slots)]
-    acc = _shells([kernels[i].form for i in form_slots], exps, config.order)
-    try:
-        gamma_factor = float((-1) ** len(kernels) * math.prod(math.factorial(a - 1) for a in alphas))
-    except OverflowError:
-        raise DomainError("I-tilde Gamma factor prod (alpha_i - 1)! leaves the float range") from None
+    word = [kernels[i].form for i in form_slots]
+    cut = _shell_cut(word, exps, config.order, -2 * math.pi * complex(z).imag)
+    acc = _shells(word, exps, config.order if cut is None else cut[0])
     total_alpha = sum(alphas)
     series = complex(evaluate_series(acc, [z])[0])  # sum_{t>=1} acc[t] q^t; acc[0] = 0
+    sign = (-1) ** len(kernels)
+    try:
+        gamma_factor = float(sign * math.prod(math.factorial(a - 1) for a in alphas))
+    except OverflowError:
+        if series == 0:
+            return 0j
+        # |(-2 pi i)^-A| = (2 pi)^-A, and its phase (-i)^-A = i^A
+        log_mag = sum(math.lgamma(a) for a in alphas) - total_alpha * math.log(2 * math.pi)
+        try:
+            mag = math.exp(log_mag + math.log(abs(series)))
+        except OverflowError:
+            raise DomainError("I-tilde value Gamma (-2 pi i)^-alpha * series leaves the float range") from None
+        return sign * (1, 1j, -1, -1j)[total_alpha % 4] * mag * (series / abs(series))
     return gamma_factor * (-2j * cmath.pi) ** (-total_alpha) * series
 
 

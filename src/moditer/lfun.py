@@ -5,10 +5,15 @@ L(f_1..f_n; s_1..s_n) = (-2 pi i)^{-(s_1+..+s_n)} *
     prod a^(i)_{m_i} / ((m_1+..+m_n)^{s_1} (m_2+..+m_n)^{s_2} .. m_n^{s_n})
 
 L_direct sums the series by shells of constant total index T = m_1+..+m_n,
-ascending in T.  The shells come from iterint._shells, whose T = t shell is
-also the q^t coefficient of the shifted integral I-tilde; its convolution
-cascade convolves real parts only where both operands are real, so a word of
-real forms with real inner exponents convolves in real arithmetic only.
+ascending in T, to at most config.cutoff.  The shells come from
+iterint._shells, whose T = t shell is also the q^t coefficient of the shifted
+integral I-tilde; its convolution cascade convolves real parts only where
+both operands are real, so a word of real forms with real inner exponents
+convolves in real arithmetic only.  Where every form carries a proven growth
+bound (ModularForm.growth), iterint._shell_cut finds the least T0 < cutoff
+past which the shells sum to at most 2^-53 of the first; the cascade stops
+there and tail_estimate is that proven bound.  Elsewhere all cutoff shells
+are summed and tail_estimate extrapolates their fitted decay.
 L_continued evaluates the same function anywhere by expanding it into
 iterated integrals of the forms themselves; evaluate_L_terms and
 evaluate_I_terms sum the Terms of an expansion.
@@ -87,6 +92,15 @@ def L_direct(spec: LSpec, config: NumericsConfig = NumericsConfig(), force: bool
     # before the cascade warns of overflow
     sum_s = sum(complex(v) for v in spec.s)
     pref = iterint._closed_power(-2j * cmath.pi, -sum_s, lambda: f"prefactor (-2 pi i)^-({sum_s:.4g})")
+    cut = iterint._shell_cut(spec.forms, spec.s, C)
+    if cut is not None:
+        T0, log_tail = cut
+        # zero-padded to C, so that the pairwise sum groups the shells as the
+        # full cascade's sum does: the two sums differ by the dropped shells
+        # and the rounding of shell T0 (see iterint._shells)
+        shells = np.zeros(C + 1, dtype=complex)
+        shells[: T0 + 1] = iterint._shells(spec.forms, spec.s, T0)
+        return LValue(pref * complex(shells.sum()), abs(pref) * math.exp(log_tail))
     shells = iterint._shells(spec.forms, spec.s, C)
     value = pref * complex(shells.sum())
 
@@ -107,15 +121,17 @@ def L_direct(spec: LSpec, config: NumericsConfig = NumericsConfig(), force: bool
 
 def _evaluate_terms(tl, word_forms, s0: complex, value) -> complex:
     """Sum of coefficient * target over Terms at s = s0.  value(subword, args)
-    gives a target's number; it runs once per distinct (indices, args)."""
+    gives a target's number; it runs once per distinct (subword, args), the
+    subword's forms compared by identity, so two slots holding one form share
+    their targets."""
     a0s = [complex(f.a0) for f in word_forms]
     cache = {}
     total = 0j
     for t in tl:
-        args = tuple(identities.exp_at(a, s0) for a in t.target.args)
-        key = (t.target.indices, args)
+        sub = tuple(word_forms[i] for i in t.target.indices)
+        key = (sub, tuple(identities.exp_at(a, s0) for a in t.target.args))
         if key not in cache:
-            cache[key] = value([word_forms[i] for i in t.target.indices], args)
+            cache[key] = value(list(sub), key[1])
         total += t.coeff.evaluate(s0, a0s) * cache[key]
     return total
 

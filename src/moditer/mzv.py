@@ -238,8 +238,10 @@ def _level4_pair():
     off it, and (G-16F)|w4 = -G - 16(F - G/16) = -16F is wired here.  Built
     once: every pullback uses the same pair at the same order."""
     f = forms.builtin("F", _KERNEL_ORDER)
-    gm = ModularForm(4, 2, "G-16F", tuple(-16 * c for c in f.fricke.coeffs))
-    forms._set_fricke(gm, ModularForm(4, 2, "G-16F|w4", tuple(-16 * b for b in f.coeffs)))
+    gm = ModularForm(4, 2, "G-16F", tuple(-16 * c for c in f.fricke.coeffs),
+                     growth=forms._sum_growth((16, f.fricke.growth)))
+    forms._set_fricke(gm, ModularForm(4, 2, "G-16F|w4", tuple(-16 * b for b in f.coeffs),
+                                      growth=forms._sum_growth((16, f.growth))))
     return f, gm
 
 

@@ -70,6 +70,21 @@ class QSeries:
             cs = cs + (0,) * (self.order + 1 - len(cs))
         object.__setattr__(self, "coeffs", cs)
 
+    @classmethod
+    def _of(cls, coeffs: tuple, order: int, prefactor_num: int = 0) -> "QSeries":
+        """A series from exactly order + 1 coefficients that are normalised
+        already (ints, and Fractions that are not integral), as division,
+        powers, negation, rebasing and the integer tables of eta, F and theta
+        make them: no Fraction with denominator 1 can reach it, so
+        __post_init__'s pass over them is skipped."""
+        if order < 0:
+            raise DomainError("order must be >= 0")
+        qs = object.__new__(cls)
+        object.__setattr__(qs, "coeffs", coeffs)
+        object.__setattr__(qs, "order", order)
+        object.__setattr__(qs, "prefactor_num", prefactor_num)
+        return qs
+
     # -- basic accessors -------------------------------------------------
 
     def valuation(self):
@@ -89,7 +104,7 @@ class QSeries:
             )
         if d == 0:
             return self
-        return QSeries((0,) * d + self.coeffs, self.order + d, prefactor_num)
+        return QSeries._of((0,) * d + self.coeffs, self.order + d, prefactor_num)
 
     def _coerce(self, other) -> "QSeries":
         if isinstance(other, QSeries):
@@ -112,7 +127,7 @@ class QSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(tuple(-c for c in self.coeffs), self.order, self.prefactor_num)
+        return QSeries._of(tuple(-c for c in self.coeffs), self.order, self.prefactor_num)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -152,7 +167,7 @@ class QSeries:
         a = self.coeffs[va:]
         b = other.coeffs[vb:]
         m = min(self.order - va, other.order - vb)
-        return QSeries(
+        return QSeries._of(
             _div_coeffs(a, b, m),
             m,
             self.prefactor_num - other.prefactor_num + 24 * (va - vb),
@@ -170,7 +185,7 @@ class QSeries:
         if v is None:
             return QSeries((1,) if n == 0 else (), self.order, n * self.prefactor_num)
         g = _pow_coeffs(self.coeffs[v:], n, self.order - n * v)
-        return QSeries((0,) * (n * v) + g, self.order, n * self.prefactor_num)
+        return QSeries._of(((0,) * (n * v) + g)[: self.order + 1], self.order, n * self.prefactor_num)
 
 
 def _mul_coeffs(a, b, m):
@@ -205,7 +220,7 @@ def _pow_coeffs(u, k, m):
     """u^k to q^m for u[0] != 0, by J.C.P. Miller's recurrence
     n u_0 g_n = sum_j ((k+1) j - n) u_j g_{n-j}: one exact division per term."""
     terms = [(j, u[j]) for j in range(1, min(m, len(u) - 1) + 1) if u[j]]
-    g = [u[0] ** k]
+    g = [_norm(u[0] ** k)]  # a Fraction to the 0th power is Fraction(1)
     for n in range(1, m + 1):
         acc = 0
         for j, uj in terms:
@@ -290,7 +305,7 @@ def eta_series(l: int, order: int) -> QSeries:
             if e <= order:
                 coeffs[e] = -1 if k % 2 else 1
         k += 1
-    return QSeries(tuple(coeffs), order, prefactor_num=l)
+    return QSeries._of(tuple(coeffs), order, l)
 
 
 def builtin_form(name: str, order: int) -> QSeries:
@@ -300,12 +315,12 @@ def builtin_form(name: str, order: int) -> QSeries:
         # the q^n coefficient sigma(n) - 3 sigma(n/2) + 2 sigma(n/4) vanishes
         # for even n, since sigma(2^a r) = (2^(a+1) - 1) sigma(r) for odd r
         table = _sigma_table(1, order)
-        return QSeries(tuple(table[n] if n % 2 else 0 for n in range(order + 1)), order)
+        return QSeries._of(tuple(table[n] if n % 2 else 0 for n in range(order + 1)), order)
     if name in ("G", "theta4"):
         theta = [1] + [0] * order
         for n in range(1, math.isqrt(order) + 1):
             theta[n * n] = 2
-        return QSeries(tuple(theta), order) ** 4
+        return QSeries._of(tuple(theta), order) ** 4
     if name == "delta":
         # delta = q * (eta mantissa)^24
         return QSeries((0,) + (eta_series(1, order) ** 24).coeffs, order)

@@ -246,3 +246,48 @@ def test_fricke_companion_unset():
     f = forms.ModularForm(level=4, weight=2, label="anon", coeffs=(0, 1))
     with pytest.raises(DomainError):
         forms.fricke_companion(f)
+
+
+def _growth_holds(coeffs, growth):
+    """|a_n| <= C n^g for n = 1..M, compared in floats: every bound has a
+    relative margin far above their rounding."""
+    C, g = growth
+    n = np.arange(1, len(coeffs), dtype=float)
+    a = np.abs(np.array([float(abs(c)) for c in coeffs[1:]]))
+    return bool(np.all(a <= C * n**g))
+
+
+def test_growth_bounds_hold_to_order_4000():
+    from moditer import mzv
+
+    order = 4000
+    built = {name: forms.builtin(name, order) for name in ("delta", "E2", "E4", "E6", "E12", "F", "G")}
+    assert built["E2"].fricke is None
+    cases = [(f.label, f.coeffs, f.growth) for f in built.values()]
+    cases += [(f.fricke.label, f.fricke.coeffs, f.fricke.growth) for f in built.values() if f.fricke is not None]
+    # mzv's G-16F and its companion -16F, at this order, with the bounds mzv wires
+    gm = mzv._level4_pair()[1]
+    F, G = built["F"], built["G"]
+    cases.append((gm.label, tuple(b - 16 * a for a, b in zip(F.coeffs, G.coeffs)), gm.growth))
+    cases.append((gm.fricke.label, tuple(-16 * a for a in F.coeffs), gm.fricke.growth))
+    assert len(cases) == 15  # level-1 companions are the forms themselves
+    for label, coeffs, growth in cases:
+        assert growth is not None, label
+        assert _growth_holds(coeffs, growth), label
+    assert built["delta"].growth == (2, 6)
+    # E_k: within 1e-5 of |2k/B_k| zeta(k-1), k-1 (scipy's zeta as the oracle)
+    import scipy.special as sp
+    for name, k in (("E4", 4), ("E6", 6), ("E12", 12)):
+        C, g = built[name].growth
+        want = abs(float(Fraction(2 * k) / qseries.bernoulli(k))) * sp.zeta(k - 1)
+        assert g == k - 1 and want <= C <= want * (1 + 1e-5)
+
+
+def test_loaded_and_derived_forms_carry_no_growth_unless_given(tmp_path):
+    path = tmp_path / "f.json"
+    forms.save_form(forms.builtin("delta", 20), path)
+    assert forms.load_form(path).growth is None
+    assert forms.ModularForm(1, 12, "f", (0, 1)).growth is None
+    # the cusp part keeps the form's bound, which holds for n >= 1
+    e4 = forms.builtin("E4", 20)
+    assert forms.cusp_part(e4).growth == e4.growth

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -715,11 +716,49 @@ def test_tilde_fourier_periodicity(delta2100):
     assert abs(a - b) < 1e-13 * max(1.0, abs(a))
 
 
-def test_tilde_fourier_gamma_overflow_is_named():
-    # 199! is past the float range, so the Gamma factor is refused by name
-    spec = make_spec([(forms.builtin("delta", 300), 200)])
-    with pytest.raises(DomainError, match="Gamma factor .* leaves the float range"):
+def test_tilde_fourier_gamma_past_the_float_range_in_logs():
+    # 199! is past the float range, the value (near 4e211) is not: the factor
+    # Gamma (-2 pi i)^-200 = -199! (2 pi)^-200 is taken in logs.  The series
+    # is q + sum_{t>=2} tau(t) t^-200 q^t, whose t >= 2 terms add below 1e-50.
+    z = 0.1 + 0.5j
+    got = iterint.tilde_I_fourier(make_spec([(forms.builtin("delta", 300), 200)]), z)
+    q = cmath.exp(2j * cmath.pi * z)
+    want = -math.exp(math.lgamma(200) - 200 * math.log(2 * math.pi)) * q
+    assert abs(got - want) <= 1e-12 * abs(want)
+    # the same from the exact 199!, rounded once to a float
+    exact = float(Fraction(math.factorial(199)) / Fraction((2 * math.pi) ** 200))
+    assert abs(got + exact * q) <= 1e-12 * abs(want)
+
+
+def test_tilde_fourier_value_past_the_float_range_is_named():
+    # 399! (2 pi)^-400 |q| is near 10^545: the value itself is refused by name
+    spec = make_spec([(forms.builtin("delta", 300), 400)])
+    with pytest.raises(DomainError, match="I-tilde value .* leaves the float range"):
         iterint.tilde_I_fourier(spec, 0.1 + 0.5j)
+
+
+@pytest.mark.parametrize("names, alphas, exps, z, order", [
+    (("delta",), (2,), (2,), 0.8j, 2000),
+    (("delta", "delta"), (2, 1), (2, 1), 0.05 + 1.0j, 1000),
+    ((None, "delta"), (1, 2), (3,), 0.3 + 0.7j, 500),
+    (("F", "F"), (2, 1), (2, 1), -0.2 + 0.6j, 1000),
+    (("F",), (3,), (3,), 0.45 + 1.3j, 200),
+])
+def test_tilde_fourier_cut_agrees_with_the_full_order(names, alphas, exps, z, order):
+    # the cascade stops at T0 < order; the full-order series lies within the
+    # cut's bound on the terms past T0, plus the rounding of the two sums
+    built = [None if n is None else forms.builtin(n, order) for n in names]
+    word = [f for f in built if f is not None]
+    cut = iterint._shell_cut(word, exps, order, -2 * math.pi * z.imag)
+    assert cut is not None and cut[0] < order
+    got = iterint.tilde_I_fourier(make_spec([(1 if f is None else f, a) for f, a in zip(built, alphas)]),
+                                  z, CFG.replace(order=order))
+    acc = iterint._shells(word, exps, order)
+    factor = (-1) ** len(names) * math.prod(math.factorial(a - 1) for a in alphas) \
+        * (-2j * cmath.pi) ** (-sum(alphas))
+    want = factor * complex(iterint.evaluate_series(acc, [z])[0])
+    mag = abs(factor) * float(np.sum(np.abs(acc) * math.exp(-2 * math.pi * z.imag) ** np.arange(order + 1)))
+    assert abs(got - want) <= abs(factor) * math.exp(cut[1]) + 8 * np.finfo(float).eps * mag
 
 
 def test_tilde_fourier_rejects(e4_200, delta2100):

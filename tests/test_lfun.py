@@ -2,12 +2,13 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
-from moditer import forms, identities as idn, iterint, lfun
+from moditer import forms, identities as idn, iterint, lfun, mzv
 from moditer.config import NumericsConfig
 from moditer.errors import DivergenceError, DomainError, PoleError, TruncationError
 
@@ -158,3 +159,83 @@ def test_prefactor_branch():
     got = lfun.L_direct(lfun.LSpec((z,), (s,)), CFG, force=True)
     want = cmath.exp(-s * cmath.log(-2j * cmath.pi))
     assert abs(got.value - want) / abs(want) < 1e-14
+
+
+def test_terms_share_targets_across_slots_holding_one_form(monkeypatch):
+    # thI of (E6, E6) asks for L(E6; s+2) from slot 0 and from slot 1: one sum
+    e6 = forms.builtin("E6", 2000)
+    tl = idn.thI_expand([e6, e6], (2,))
+    s0 = 16.3
+    a0s = [complex(e6.a0)] * 2
+    want = 0j
+    for t in tl:  # one L_direct per term, summed in the same order
+        args = tuple(idn.exp_at(a, s0) for a in t.target.args)
+        sub = tuple(e6 for _ in t.target.indices)
+        want += t.coeff.evaluate(s0, a0s) * lfun.L_direct(lfun.LSpec(sub, args), CFG).value
+    calls = []
+    real = lfun.L_direct
+    monkeypatch.setattr(lfun, "L_direct", lambda spec, config: calls.append(spec) or real(spec, config))
+    got = lfun.evaluate_L_terms(tl, [e6, e6], s0, CFG)
+    assert got == want  # bit for bit
+    by_slots = {(t.target.indices, tuple(idn.exp_at(a, s0) for a in t.target.args)) for t in tl}
+    assert len(calls) == 3 < len(by_slots) == 4
+
+
+def _cut_words(n_cases, cutoffs, seed):
+    """Seeded words of depth 1-3 over the built-ins, their companions and
+    mzv's G-16F, with exponents that let _shell_cut stop early."""
+    order = max(cutoffs)
+    pool = [forms.builtin(n, order) for n in ("delta", "E2", "E4", "E6", "E12", "F", "G")]
+    pool += [pool[5].fricke, pool[6].fricke]
+    gm = mzv._level4_pair()[1]  # built at a lower order: rebuilt here with its bound
+    F, G = pool[5], pool[6]
+    pool.append(forms.ModularForm(4, 2, "G-16F", tuple(b - 16 * a for a, b in zip(F.coeffs, G.coeffs)),
+                                  growth=gm.growth))
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < n_cases:
+        word = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+        exps = tuple(complex(round(rng.uniform(1, 40), 3), rng.choice((0.0, round(rng.uniform(-3, 3), 3))))
+                     for _ in word)
+        cutoff = rng.choice(cutoffs)
+        cut = iterint._shell_cut(word, exps, cutoff)
+        if cut is not None:
+            cases.append((word, exps, cutoff, cut[0]))
+    return cases
+
+
+def test_cut_drops_only_shells_below_rounding():
+    # Over 200 seeded words where the cut applies: the cut cascade's shells
+    # below T0 are the full cascade's, bit for bit; the shells dropped past
+    # T0 sum to at most 2^-53 |S_n| and lie within tail_estimate; and the
+    # value is the full cascade's sum up to them.  A sum that lands within
+    # that much of a rounding boundary may round the other way, so the
+    # value's distance to the full sum may also hold one unit in the last
+    # place.
+    depths = set()
+    for word, exps, cutoff, T0 in _cut_words(200, (300, 600, 1000), seed=31):
+        depths.add(len(word))
+        got = lfun.L_direct(lfun.LSpec(word, exps), CFG.replace(cutoff=cutoff), force=True)
+        full = iterint._shells(word, exps, cutoff)
+        assert np.array_equal(iterint._shells(word, exps, T0)[:T0], full[:T0])
+        sum_s = sum(exps)
+        pref = iterint._closed_power(-2j * cmath.pi, -sum_s, lambda: "prefactor")
+        unit = 2.0**-53 * abs(pref * full[len(word)])
+        dropped = abs(pref) * np.abs(full[T0 + 1 :]).sum()
+        assert dropped <= unit and dropped <= got.tail_estimate
+        ref = pref * complex(full.sum())
+        ulp = np.spacing(abs(ref.real)) + np.spacing(abs(ref.imag))
+        gap = abs(got.value - ref)
+        assert gap <= unit + ulp and gap <= got.tail_estimate + ulp
+    assert depths == {1, 2, 3}
+
+
+def test_uncut_sums_keep_the_full_cascade():
+    # no growth bound, or a majorant exponent r >= -1: every shell is summed
+    z = _sparse_form([0, 1, 1], "q+q2")
+    assert iterint._shell_cut((z,), (30.0,), 2000) is None
+    d = forms.builtin("delta", 100)
+    assert iterint._shell_cut((d,), (7.0,), 100) is None  # r = 6 - 7 = -1
+    # a_1 = 0: S_n = 0 leaves nothing to measure the tail against
+    z2 = forms.ModularForm(1, 12, "q2", (0, 0, 1), growth=(1, 0))
+    assert iterint._shell_cut((z2,), (30.0,), 2) is None

@@ -81,19 +81,6 @@ class ModularForm:
         return arr
 
     @cached_property
-    def _logs(self) -> np.ndarray:
-        # log|a_j|, -inf at a zero coefficient; freed with the form too
-        with np.errstate(divide="ignore"):
-            arr = np.log(np.abs(self._np_coeffs))
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def _cuts(self) -> dict:
-        # log max|q| -> the cut J there (evaluate_many), at most _CUTS entries
-        return {}
-
-    @cached_property
     def _cusp_part(self) -> "ModularForm":
         # built once and kept beside _np_coeffs: one cusp part per live form
         return ModularForm(self.level, self.weight, self.label + "^0",
@@ -230,9 +217,6 @@ def evaluate_at(f: ModularForm, z: complex, config: NumericsConfig = NumericsCon
 # of a unit roundoff) of the largest: see _significant_cut.
 _CUT_LOG = 46.0
 
-# Chain heights whose cut a form remembers; the oldest is dropped first.
-_CUTS = 16
-
 
 def _significant_cut(logs: np.ndarray, log_r: float) -> int:
     """Last index J with log|a_J| + J log r >= max_j(log|a_j| + j log r) - 46,
@@ -280,10 +264,9 @@ def _as_chain(zs) -> quad.Chain:
 
 
 def evaluate_series(coeffs, zs) -> np.ndarray:
-    """sum_n coeffs[n] q^n at q = e^{2 pi i z} for every z: zs is a
-    quad.Chain, whose power table serves the call, or an array of one-off
-    points, which get a table of their own.  The sum stops at the points'
-    last significant term (_significant_cut)."""
+    """sum_n coeffs[n] q^n at q = e^{2 pi i z} for every z in zs, a quad.Chain
+    or an array of points, as one product with the chain's power table.  The
+    sum stops at the points' last significant term (_significant_cut)."""
     coeffs = np.asarray(coeffs, dtype=complex)
     chain = _as_chain(zs)
     with np.errstate(divide="ignore"):
@@ -292,18 +275,17 @@ def evaluate_series(coeffs, zs) -> np.ndarray:
 
 
 def evaluate_many(f: ModularForm, zs) -> np.ndarray:
-    """Vectorized q-expansion evaluation on a quad.Chain or at an array of
-    points, as evaluate_series, with log|a_j| and the cut of each chain
-    height kept on the form.  The stored coefficients are trusted: the tail
-    beyond the order is not bounded here (quadrature paths stay at
-    Im z >= 1/sqrt(N); evaluate_at_with_tail reports a tail bound)."""
+    """f's values on a quad.Chain or at an array of points, read-only: the
+    chain's ``values`` entry for f, made by evaluate_series on the first
+    call and freed with f or with the chain.  The stored coefficients are
+    trusted: the tail beyond the order is not bounded here (quadrature paths
+    stay at Im z >= 1/sqrt(N); evaluate_at_with_tail reports a tail bound)."""
     chain = _as_chain(zs)
-    cut = f._cuts.get(chain.log_r)
-    if cut is None:
-        if len(f._cuts) >= _CUTS:
-            del f._cuts[next(iter(f._cuts))]
-        cut = f._cuts[chain.log_r] = _significant_cut(f._logs, chain.log_r)
-    return horner_many(f._np_coeffs[: cut + 1], chain.powers(cut))
+    values = chain.values.get(f)
+    if values is None:
+        values = chain.values[f] = evaluate_series(f._np_coeffs, chain)
+        values.setflags(write=False)
+    return values
 
 
 def fricke_evaluate(f: ModularForm, z: complex, config: NumericsConfig = NumericsConfig()) -> complex:

@@ -22,7 +22,7 @@ from numpy import convolve as conv_complex
 
 from . import quad
 from .config import NumericsConfig
-from .errors import POLE_EPS, AccuracyError, DivergenceError, DomainError, PoleError
+from .errors import POLE_EPS, AccuracyError, DivergenceError, DomainError, PoleError, TruncationError
 from .forms import ModularForm, cusp_part, evaluate_many, evaluate_series, fricke_companion
 
 __all__ = [
@@ -99,6 +99,21 @@ def _decays(ks: KernelSpec) -> bool:
     return ks.form is not None and not ks.form.coeffs[0]
 
 
+def _kernel(ks: KernelSpec, chain) -> np.ndarray:
+    """f z^(s-1) on the chain, from its own log z and evaluate_many's values
+    of f, each with the expression of a lone evaluation; read-only and kept
+    in the chain's values under ks, so an equal KernelSpec finds it while ks
+    lives."""
+    kernel = chain.values.get(ks)
+    if kernel is None:
+        kernel = np.exp((complex(ks.s) - 1) * chain.log)
+        if ks.form is not None:
+            kernel = evaluate_many(ks.form, chain) * kernel
+        kernel.setflags(write=False)
+        chain.values[ks] = kernel
+    return kernel
+
+
 class _Sweeps:
     """Every adaptive sweep of one report or one nested_quadrature call along
     one panel chain, dropped when the call returns.
@@ -107,40 +122,27 @@ class _Sweeps:
     tuple of its KernelSpecs, innermost first, which compare by form
     identity and exponent.  Level j is bit for bit a sweep of word[:j+1]
     alone (see quad), so a word whose prefix is stored runs no new sweep.
-    Per quad.Chain the table runs evaluate_many once per form and f z^{s-1}
-    once per KernelSpec, from the chain's own log z, each with the
-    expression of a lone kernel evaluation, so every array is bit-identical
-    to one.  Kernel values are keyed by the Chain object itself, and then
-    by the form and by the KernelSpec; the table holds each key, so a chain
-    that quad's cache drops and rebuilds is a new key."""
+    The kernels' values live on each quad.Chain (_kernel), which outlives
+    this table: a form is evaluated once per chain for as long as both
+    live, across reports and across the words of a shuffle set."""
 
     def __init__(self, builder, config: NumericsConfig):
         self.builder = builder
         self.config = config
         self._levels = {}  # prefix -> (value, err), or the AccuracyError it stalled at
-        self._grids = {}  # Chain -> {form: f(z), KernelSpec: kernel}
 
     def level(self, word, depth: int):
         """(value, err) of word[:depth+1], read innermost first, or raise its
         stall.  A prefix not yet stored sweeps the whole word."""
         word = tuple(word)
         if word[: depth + 1] not in self._levels:
-            kernels = [partial(self._value, ks) for ks in word]
+            kernels = [partial(_kernel, ks) for ks in word]
             for j, result in enumerate(quad.adaptive_iterated(kernels, self.builder, self.config)):
                 self._levels[word[: j + 1]] = result
         result = self._levels[word[: depth + 1]]
         if isinstance(result, AccuracyError):
             raise result
         return result
-
-    def _value(self, ks: KernelSpec, chain):
-        grid = self._grids.setdefault(chain, {})
-        if ks not in grid:
-            power = np.exp((complex(ks.s) - 1) * chain.log)
-            if ks.form is not None and ks.form not in grid:
-                grid[ks.form] = evaluate_many(ks.form, chain)
-            grid[ks] = power if ks.form is None else grid[ks.form] * power
-        return grid[ks]
 
 
 def _closed_power(b: complex, exponent: complex, what) -> complex:
@@ -344,10 +346,21 @@ def _conv_parts(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return conv_complex(a.real, b.real)[:n].astype(complex)
 
 
+def _check_order(word, cutoff: int) -> None:
+    """TruncationError naming the first form of the word with fewer than
+    cutoff coefficients past a_0: a cascade to shell cutoff reads them all."""
+    for f in word:
+        if f.order < cutoff:
+            raise TruncationError(
+                f"form {f.label!r} has {f.order} coefficients, cutoff {cutoff} needs at least that many"
+            )
+
+
 def _shells(word, exps, cutoff: int) -> np.ndarray:
     """Shells of L(word; exps): acc[T] = sum over m_1+..+m_n = T of prod a^(i)_{m_i}
-    / prod_i (m_i+..+m_n)^{e_i} for T = 0..cutoff, acc[0] = 0; a form of order
-    below cutoff counts as zero past it.
+    / prod_i (m_i+..+m_n)^{e_i} for T = 0..cutoff, acc[0] = 0, over the stored
+    coefficients; L_direct and tilde_I_fourier refuse a form shorter than
+    the cascade (_check_order).
 
     Shells T < cutoff are bit for bit those of a cascade to any larger
     cutoff; shell T = cutoff may round differently, as np.convolve forms its
@@ -505,7 +518,8 @@ def tilde_I_fourier(spec: IterSpec, z: complex, config: NumericsConfig = Numeric
     exponent sums its own exponent and those of the 1-slots just before it;
     the shells come from _shells, the cascade L_direct sums.  The cascade
     runs to config.order, or to the least T0 where _shell_cut proves the
-    terms past it below 2^-53 of the first.
+    terms past it below 2^-53 of the first; a form with fewer coefficients
+    than the shells summed raises TruncationError (_check_order).
 
     The factor Gamma (-2 pi i)^-alpha, Gamma = (-1)^n prod (alpha_i - 1)!, is
     taken in floats where the exact product is in the float range, and in
@@ -531,7 +545,9 @@ def tilde_I_fourier(spec: IterSpec, z: complex, config: NumericsConfig = Numeric
     exps = [sum(alphas[a : b + 1]) for a, b in zip(starts, form_slots)]
     word = [kernels[i].form for i in form_slots]
     cut = _shell_cut(word, exps, config.order, -2 * math.pi * complex(z).imag)
-    acc = _shells(word, exps, config.order if cut is None else cut[0])
+    shells = config.order if cut is None else cut[0]
+    _check_order(word, shells)
+    acc = _shells(word, exps, shells)
     total_alpha = sum(alphas)
     series = complex(evaluate_series(acc, [z])[0])  # sum_{t>=1} acc[t] q^t; acc[0] = 0
     sign = (-1) ** len(kernels)

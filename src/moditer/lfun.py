@@ -30,7 +30,7 @@ from numpy import convolve as conv_complex  # unused here; modbench/spans.py wra
 
 from . import identities, iterint
 from .config import NumericsConfig
-from .errors import DivergenceError, DomainError, TruncationError
+from .errors import DivergenceError, DomainError
 from .forms import ModularForm
 
 __all__ = [
@@ -75,11 +75,7 @@ def convergence_threshold(spec: LSpec) -> float:
 
 def L_direct(spec: LSpec, config: NumericsConfig = NumericsConfig(), force: bool = False) -> LValue:
     C = config.cutoff
-    for f in spec.forms:
-        if f.order < C:
-            raise TruncationError(
-                f"form {f.label!r} has {f.order} coefficients, cutoff {C} needs at least that many"
-            )
+    iterint._check_order(spec.forms, C)
     need = convergence_threshold(spec)
     s1 = complex(spec.s[0]).real
     if s1 <= need and not force:

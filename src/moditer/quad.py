@@ -18,12 +18,15 @@ prefix alone returns, so one sweep serves a whole family of words that share
 their inner layers.
 
 A Chain also holds what a q-expansion needs on its nodes: log z,
-q = e^{2 pi i z}, log max|q| and the powers q^0..q^J, so a form's values on
-a chain are one product with its power table (forms.evaluate_many).
+q = e^{2 pi i z} and log max|q|, from which it builds the powers q^0..q^J on
+demand, so a form's values on a chain are one product with a power table
+(forms.evaluate_many).  What is evaluated on a chain is kept there, in its
+``values``, keyed weakly by the form or kernel it belongs to: an entry goes
+when its key dies or when the chain is dropped.
 
 Kernels are callables that take the Chain and return one complex value per
-node (they read ``chain.nodes``, or ``chain.log`` and the power table); they
-are listed in path order: kernels[0] is the innermost layer, integrated
+node (they read ``chain.nodes``, or ``chain.log`` and ``chain.values``);
+they are listed in path order: kernels[0] is the innermost layer, integrated
 nearest the path start.
 """
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 
 import numpy as np
 
@@ -38,7 +42,6 @@ from .errors import AccuracyError, DomainError
 
 __all__ = [
     "GL_ORDER",
-    "TABLE_BYTES",
     "Chain",
     "gauss_legendre",
     "segment_panels",
@@ -50,13 +53,6 @@ __all__ = [
 
 GL_ORDER = 16  # Gauss-Legendre nodes per panel; every sweep also carries GL_ORDER + 8
 
-# A chain keeps its power table while the table holds at most TABLE_BYTES;
-# a wider one is built for the call that asks and then dropped.  With the 32
-# chains _grid keeps, kept tables hold at most 8 MiB.  A panel chain holds
-# 2 GL_ORDER + 8 = 40 points per panel, so a 6-panel chain keeps up to 64
-# rows of powers.
-TABLE_BYTES = 1 << 18
-
 
 class Chain:
     """Points z with what a q-expansion needs there.
@@ -67,9 +63,14 @@ class Chain:
     (None for one-off points).  ``log`` is log z, ``q`` is
     e^{2 pi i z} and ``log_r`` = log max|q| = -2 pi min Im z; where 2 pi Im z
     overflows, q is 0 and log_r is -inf, the exact limits.  Every array is
-    read-only.  ``powers(J)`` hands out the table of q^0..q^J."""
+    read-only.  ``powers(J)`` builds the table of q^0..q^J.
 
-    __slots__ = ("nodes", "halves", "log", "q", "log_r", "_table")
+    ``values`` maps a form (forms.evaluate_many) or a kernel
+    (iterint._kernel) to its read-only array on the points.  Its keys are
+    weak, so the chain keeps no form or kernel alive, and an entry is freed
+    when its key dies or with the chain."""
+
+    __slots__ = ("nodes", "halves", "log", "q", "log_r", "values")
 
     def __init__(self, nodes: np.ndarray, halves: np.ndarray | None = None):
         self.nodes = nodes
@@ -78,9 +79,9 @@ class Chain:
             self.log = np.log(nodes)
             self.q = np.exp(2j * np.pi * nodes)
             self.log_r = -2 * np.pi * nodes.imag.min() if nodes.size else 0.0
-        self._table = np.ones((1, nodes.size), dtype=complex)
-        for arr in (nodes, self.log, self.q, self._table):
+        for arr in (nodes, self.log, self.q):
             arr.setflags(write=False)
+        self.values = weakref.WeakKeyDictionary()
 
     @property
     def size(self) -> int:
@@ -88,22 +89,15 @@ class Chain:
         return self.nodes.size
 
     def powers(self, J: int) -> np.ndarray:
-        """Rows 0..J of the power table, row j = q^j at every point; read-only.
-
-        Row j is the running product q^(j-1) q, j roundings, so its bits do
-        not depend on how far the table has grown.  The table grows in
-        whole blocks of 16 rows, and the chain keeps it while it holds at
-        most TABLE_BYTES."""
-        table = self._table
-        if len(table) <= J:
-            rows = -(-(J + 1) // 16) * 16
-            table = np.empty((rows, self.size), dtype=complex)
-            table[0] = 1
-            np.cumprod(np.broadcast_to(self.q, (rows - 1, self.size)), axis=0, out=table[1:])
-            table.setflags(write=False)
-            if table.nbytes <= TABLE_BYTES:
-                self._table = table
-        return table[: J + 1]
+        """Rows 0..J of the power table, row j = q^j at every point; read-only
+        and kept by no one.  Row j is the running product q^(j-1) q, j
+        roundings, so its bits do not depend on J."""
+        table = np.empty((J + 1, self.size), dtype=complex)
+        table[0] = 1
+        table[1:] = self.q
+        np.cumprod(table[1:], axis=0, out=table[1:])
+        table.setflags(write=False)
+        return table
 
 
 def gauss_legendre(g: int):
@@ -207,9 +201,9 @@ def _grid(panels: tuple, g: int) -> Chain:
 
     Built once per (panels, g) and shared while it stays among the 32 most
     recently used, so a kernel sees the same Chain object on every sweep of
-    a chain and may key its values by it.  The Chain carries log z, q and
-    the power table q^0..q^J its forms have asked for, each kept table at
-    most TABLE_BYTES: all of it is freed when the cache drops the chain."""
+    a chain and finds there the values it left before.  The Chain carries
+    log z, q and the values of the forms and kernels evaluated on it: all
+    of it is freed when the cache drops the chain."""
     x = _pair_rule(g)[0]
     starts = np.array([p[0] for p in panels], dtype=complex)
     ends = np.array([p[1] for p in panels], dtype=complex)
@@ -227,8 +221,8 @@ def iterated_integral(kernels, panels, g: int) -> list:
     kernels[0] is innermost (nearest panels[0][0], the path start); entry j
     of the returned list is the full integral of kernels[j] times the
     accumulated inner layers kernels[:j], under either rule.  Every kernel is
-    called once, on the chain's cached Chain, which holds both rules' nodes,
-    so a caller may key kernel values by it.  The rules meet only through
+    called once, on the chain's cached Chain, which holds both rules' nodes
+    and the values kept on it.  The rules meet only through
     the zero blocks of _pair_rule's weights and operator, so a finite value
     at one rule's nodes adds exactly 0 to the other rule.
     """

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from moditer import forms, iterint, mzv
 from moditer.config import NumericsConfig
-from moditer.errors import AccuracyError, DivergenceError, DomainError, PoleError
+from moditer.errors import AccuracyError, DivergenceError, DomainError, PoleError, TruncationError
 from moditer.iterint import IINF, make_spec, nested_quadrature, ones_closed_form
 
 CFG = NumericsConfig()
@@ -141,6 +141,23 @@ def test_shuffle_identity():
         path_word = [combined[i] for i in word]
         rhs += nested_quadrature(make_spec(list(reversed(path_word))), a, b, CFG)
     assert abs(lhs - rhs) < 1e-10
+
+
+def test_shuffle_set_evaluates_each_form_once_per_chain(monkeypatch):
+    # the two factors and their three shuffles sweep one segment chain, each
+    # in its own nested_quadrature call: the chain keeps each form's values,
+    # so F and G are evaluated once each, not once per word
+    F, G = forms.builtin("F", 64), forms.builtin("G", 64)
+    products = []
+    horner = forms.horner_many
+    monkeypatch.setattr(forms, "horner_many", lambda c, t: products.append(len(c)) or horner(c, t))
+    a, b = 1.9j, 0.15 + 0.55j
+    first, second = [(F, 1.5)], [(G, 2.0 + 0.5j), (G, 1.0)]
+    lhs = nested_quadrature(make_spec(first), a, b, CFG) * nested_quadrature(make_spec(second), a, b, CFG)
+    rhs = sum(nested_quadrature(make_spec([(first + second)[i] for i in word]), a, b, CFG)
+              for word in iterint.shuffles(1, 2))
+    assert abs(lhs - rhs) < 1e-10
+    assert len(products) == 2
 
 
 @given(st.integers(1, 4), st.integers(1, 4))
@@ -476,10 +493,10 @@ def test_sweep_table_serves_a_stored_prefix(monkeypatch, e4_200, delta2100):
     assert len(calls) == before + 1
 
 
-def test_sweep_table_keeps_its_bits_when_the_grid_cache_is_cleared(e4_200, delta2100):
-    # The table keys kernel values by the quad.Chain object.  With quad's
-    # grid cache cleared before every attempt, each chain is rebuilt as a new
-    # object; the table holds every chain it keyed, so no stale entry is read.
+def test_sweep_table_keeps_its_bits_when_the_grid_cache_is_cleared(monkeypatch, e4_200, delta2100):
+    # Kernel values live on the quad.Chain object.  With quad's grid cache
+    # cleared before every attempt, each chain is rebuilt as a new object
+    # with no values, so no stale entry is read.
     KS = iterint.KernelSpec
     word = [KS(forms.cusp_part(e4_200), 2.5 + 0j), KS(delta2100, 1.5 + 0j), KS(None, -0.5 + 0j)]
     words = (word, [word[0], KS(e4_200, 3.5 + 0j)])
@@ -505,14 +522,18 @@ def test_sweep_table_keeps_its_bits_when_the_grid_cache_is_cleared(e4_200, delta
 
     fresh = [outcome(iterint._Sweeps(builder, cfg), w) for w in words]
     attempts.clear()
+    chains = {}  # id -> chain, each held so that no id is reused
+    kernel = iterint._kernel
+    monkeypatch.setattr(iterint, "_kernel",
+                        lambda ks, chain: chains.setdefault(id(chain), chain) and kernel(ks, chain))
     table = iterint._Sweeps(clearing, cfg)
     got = [outcome(table, w) for w in words]
     assert got == fresh
     assert isinstance(got[0], tuple) and "stalled at 48 panels" in got[1]
     assert attempts == [6, 12, 24, 48] * 2
     # one chain per attempt, holding the nodes of both rules
-    assert len(table._grids) == len(attempts)
-    assert all(isinstance(chain, iterint.quad.Chain) for chain in table._grids)
+    assert len(chains) == len(attempts)
+    assert all(isinstance(chain, iterint.quad.Chain) for chain in chains.values())
 
 
 def test_default_report_sweeps_six_panels(monkeypatch):
@@ -735,6 +756,26 @@ def test_tilde_fourier_value_past_the_float_range_is_named():
     spec = make_spec([(forms.builtin("delta", 300), 400)])
     with pytest.raises(DomainError, match="I-tilde value .* leaves the float range"):
         iterint.tilde_I_fourier(spec, 0.1 + 0.5j)
+
+
+def test_tilde_fourier_refuses_a_form_shorter_than_its_shells(delta2100):
+    # at Im z = 0.05 the cascade cannot stop before shell 191, past Delta's
+    # 20 stored terms; summed with zeros there, the series would read
+    # 0.521 - 0.058i, where Delta to order 400 or more gives 0.0034 + 0.0006i
+    z = 0.1 + 0.05j
+    with pytest.raises(TruncationError, match="form 'delta' has 20 coefficients, cutoff 191 "):
+        iterint.tilde_I_fourier(make_spec([(forms.builtin("delta", 20), 2)]), z, CFG.replace(order=1000))
+    # a form that holds every shell summed keeps its bits, at the cut and
+    # uncut at its full order
+    for word, order, want in (
+        ([(delta2100, 2)], 1000, ("0x1.bdb4152d2e20cp-9", "0x1.3e2f09499d585p-11")),
+        ([(delta2100, 2), (1, 1), (delta2100, 1)], 2100, ("-0x1.bb3979e1ae139p-20", "-0x1.b8f99a64a56e5p-22")),
+    ):
+        assert _bits(iterint.tilde_I_fourier(make_spec(word), z, CFG.replace(order=order))) == want
+    # the check asks for the shells summed, not config.order: to order 400
+    # Delta holds the 191 shells of the cut
+    got = iterint.tilde_I_fourier(make_spec([(forms.builtin("delta", 400), 2)]), z, CFG.replace(order=1000))
+    assert _bits(got) == ("0x1.bdb4152d2e20cp-9", "0x1.3e2f09499d585p-11")
 
 
 @pytest.mark.parametrize("names, alphas, exps, z, order", [

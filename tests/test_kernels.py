@@ -1,6 +1,6 @@
 """The two numerical kernels: q-expansion evaluation as one product of the
 coefficients with a table of powers of q (forms.horner_many, stopped at the
-points' last significant term; the table is kept with each quad.Chain) and the
+points' last significant term; the values are kept on each quad.Chain) and the
 coefficient convolution of the Dirichlet cascades (np.convolve, imported as
 conv_complex by lfun and iterint).  The cascade in iterint._shells hands it
 the real parts of its operands as real arrays when both are real, and the
@@ -132,12 +132,14 @@ def test_height_cut_changes_no_value_beyond_rounding(order):
     points = 1j * np.geomspace(0.005, 0.3, 12) + np.linspace(-0.5, 0.5, 12)
     for f in _forms_and_companions(order):
         a = _longdouble(f.coeffs)
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(f._np_coeffs))
         panels = tuple(quad.vertical_panels(1j / math.sqrt(f.level), 12.0, 6, tail=False))
         chains = [quad._grid(panels, quad.GL_ORDER)]
         for chain in chains + [quad.Chain(np.array([z])) for z in points]:
             got = forms.evaluate_many(f, chain)
             want, scale = _reference(a, chain.nodes)
-            cut = forms._significant_cut(f._logs, chain.log_r)
+            cut = forms._significant_cut(logs, chain.log_r)
             assert np.all(np.abs(got - want) <= 8 * (cut + 1) * EPS * scale), f.label
 
 
@@ -201,8 +203,8 @@ def test_quadrature_caches_are_bounded():
     assert quad._grid.cache_info().currsize <= 32
     assert quad._vertical_panels.cache_info().currsize <= 64
     # 100 chains at distinct heights close to the real axis, where order-2000
-    # forms keep up to all their terms: a chain keeps only a table within
-    # TABLE_BYTES, and a form remembers at most _CUTS cuts
+    # forms keep up to all their terms: _grid keeps 32 of them, and a chain
+    # keeps one array per form evaluated on it
     d, e4 = forms.builtin("delta", 2000), forms.builtin("E4", 2000)
     chains = []
     kernels = [lambda c: chains.append(c) or forms.evaluate_many(d, c),
@@ -211,34 +213,45 @@ def test_quadrature_caches_are_bounded():
         x = k / 100 - 0.5
         quad.iterated_integral(kernels, quad.segment_panels(complex(x, y), complex(x + 0.5, y), 4), 16)
     assert quad._grid.cache_info().currsize <= 32
-    assert all(c._table.nbytes <= quad.TABLE_BYTES for c in chains)
-    assert any(len(c._table) == 1 for c in chains) and any(len(c._table) > 1 for c in chains)
-    assert all(len(f._cuts) == forms._CUTS for f in (d, e4))
-    # a default chain down to i/2, 6 panels of 16 + 24 nodes, keeps the
-    # table that the order-2000 forms ask for
+    assert all(len(c.values) == 2 and c.values[d].shape == (c.size,) for c in chains)
+    # a default chain down to i/2, 6 panels of 16 + 24 nodes: reports at new
+    # exponents add no entry once their specs are gone, since a chain keeps
+    # kernels only while their KernelSpecs live
     chain = quad._grid(quad.vertical_panels(0.5j, 12.0, 6, tail=False), quad.GL_ORDER)
-    cuts = []
-    for name in ("delta", "E4", "F", "G"):
-        f = forms.builtin(name, 2000)
-        forms.evaluate_many(f, chain)
-        cuts.append(forms._significant_cut(f._logs, chain.log_r))
     assert chain.size == 6 * (2 * quad.GL_ORDER + 8)
-    assert len(chain._table) > max(cuts) and chain._table.nbytes <= quad.TABLE_BYTES
+    F, G = forms.builtin("F", 2000), forms.builtin("G", 2000)
+    gc.collect()  # KernelSpecs that earlier tests left in reference cycles
+    sizes = []
+    for s in (3.5, 4.5, 5.5):
+        iterint.iterint_report(iterint.make_spec([(F, s), (G, 1.5)]))
+        sizes.append(len(chain.values))
+    assert F in chain.values and forms.cusp_part(G) in chain.values
+    assert sizes == [sizes[0]] * 3
+    assert not any(isinstance(k, iterint.KernelSpec) for k in chain.values)
 
 
 def test_cached_chains_keep_no_form_alive():
-    # a chain keeps q and its powers, never a form; the cut memo lives on the
-    # form and goes with it.  Built outside the builtin memo, which holds its
-    # forms.
-    d, e4 = forms.builtin.__wrapped__("delta", 2000), forms.builtin.__wrapped__("E4", 200)
+    # a chain keys its values weakly: it keeps no form and no KernelSpec
+    # alive, and a dead key's entry leaves it.  Built outside the builtin
+    # memo, which holds its forms.
     panels = quad.vertical_panels(1j, 12.0, 6, tail=False)
-    quad.iterated_integral([lambda c: forms.evaluate_many(d, c)], panels, 16)
-    report = iterint.iterint_report(iterint.make_spec([(e4, 2.5), (d, 9.0)]))
-    assert report.err_estimate < 1e-8 and quad._grid.cache_info().currsize > 0
-    refs = [weakref.ref(f) for f in (d, e4, forms.cusp_part(e4))]
-    del d, e4
+    chain = quad._grid(panels, 16)
     gc.collect()
-    assert [r() for r in refs] == [None] * 3
+    before = len(chain.values)
+    d, e4 = forms.builtin.__wrapped__("delta", 2000), forms.builtin.__wrapped__("E4", 200)
+    quad.iterated_integral([lambda c: forms.evaluate_many(d, c)], panels, 16)
+    spec = iterint.make_spec([(e4, 2.5), (d, 9.0)])
+    report = iterint.iterint_report(spec)
+    assert report.err_estimate < 1e-8 and quad._grid(panels, 16) is chain
+    assert d in chain.values and forms.cusp_part(e4) in chain.values
+    assert any(isinstance(k, iterint.KernelSpec) for k in chain.values)
+    refs = [weakref.ref(f) for f in (d, e4, forms.cusp_part(e4))]
+    refs += [weakref.ref(ks) for ks in spec.kernels]
+    del d, e4, spec
+    gc.collect()
+    assert [r() for r in refs] == [None] * 5
+    assert len(chain.values) == before
+    assert not any(isinstance(k, iterint.KernelSpec) for k in chain.values)
 
 
 @pytest.mark.parametrize("tail", [False, True])
@@ -314,8 +327,16 @@ def test_grid_is_shared_and_read_only():
     for panels in (chain, list(chain)):
         quad.iterated_integral([lambda c: seen.append(c) or np.ones_like(c.nodes)], panels, 16)
     assert seen[0] is seen[1]
+    # values are shared across calls: the same array, which no caller may write
+    d = forms.builtin("delta", 64)
+    values = forms.evaluate_many(d, seen[0])
+    ks = iterint.KernelSpec(d, 3.0 + 0j)
+    kernel = iterint._kernel(ks, seen[0])
+    # an equal KernelSpec finds the kernel while ks lives
+    assert forms.evaluate_many(d, seen[0]) is values
+    assert iterint._kernel(iterint.KernelSpec(d, 3.0 + 0j), seen[0]) is kernel
     assert not any(a.flags.writeable for a in (seen[0].nodes, seen[0].halves, seen[0].log,
-                                               seen[0].q, seen[0].powers(20)))
+                                               seen[0].q, seen[0].powers(20), values, kernel))
 
 
 @pytest.mark.parametrize("tol", [1e-17, 1e-19, 1e-21])

@@ -304,7 +304,13 @@ def _run_lvalue(ns, cfg, reg) -> RunReport:
     svec = _parse_clist(ns.s)
     if len(svec) != len(ns.names):
         raise DomainError("need one argument per form")
-    word = tuple(_resolve(n, reg, max(cfg.cutoff, cfg.order)) for n in ns.names)
+    # the cut reads only growth, a_1 and the exponents: the forms are built
+    # past --order only as far as the shells L_direct will sum
+    word = tuple(_resolve(n, reg, cfg.order) for n in ns.names)
+    cut = iterint._shell_cut(word, svec, cfg.cutoff)
+    shells = cfg.cutoff if cut is None else cut[0]
+    if shells > cfg.order:
+        word = tuple(_resolve(n, reg, shells) for n in ns.names)
     got = lfun.L_direct(lfun.LSpec(word, svec), cfg, force=ns.force)
     rep = RunReport(
         "lvalue",

@@ -81,6 +81,11 @@ class ModularForm:
         return arr
 
     @cached_property
+    def _is_real(self) -> bool:
+        # every coefficient real: a Dirichlet cascade may carry this form in floats
+        return not self._np_coeffs.imag.any()
+
+    @cached_property
     def _cusp_part(self) -> "ModularForm":
         # built once and kept beside _np_coeffs: one cusp part per live form
         return ModularForm(self.level, self.weight, self.label + "^0",

@@ -338,12 +338,27 @@ def completed_Z(spec: IterSpec, config: NumericsConfig = NumericsConfig()) -> co
     return scale * iterint_full(spec, config)
 
 
-def _conv_parts(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """The first n coefficients of the product of two complex series: one real
-    convolve when both are real, else one complex convolve."""
-    if a.imag.any() or b.imag.any():
-        return conv_complex(a, b)[:n]
-    return conv_complex(a.real, b.real)[:n].astype(complex)
+# width of the blocks of running shells that _conv_parts convolves at a time:
+# about 256 measured best at cutoff 2000 (2-CPU x86 host, one BLAS thread)
+_BLOCK = 256
+
+
+def _conv_parts(coeffs: np.ndarray, acc: np.ndarray, n: int) -> np.ndarray:
+    """The first n coefficients of the product of two series of length n,
+    real where both are real.
+
+    Block [s, s + _BLOCK) of the running shells acc reaches shells s..n-1
+    only, so it is convolved with coeffs[:n - s] alone: only the pairs with
+    i + j < n + _BLOCK are multiplied, about half of a full convolve's.  A
+    shell sums its blocks' dot products in block order, and each dot runs
+    over the same pairs in the same order whatever n is, since np.convolve
+    slides the shorter factor (the block) along the longer; so shells
+    0..n-2 do not depend on n.  Regrouping one sum into a sum of block sums
+    keeps its rounding bound (Higham, ch. 3-4)."""
+    out = np.zeros(n, dtype=np.result_type(coeffs, acc))
+    for s in range(0, n, _BLOCK):
+        out[s:] += conv_complex(coeffs[: n - s], acc[s : s + _BLOCK])[: n - s]
+    return out
 
 
 def _check_order(word, cutoff: int) -> None:
@@ -363,31 +378,32 @@ def _shells(word, exps, cutoff: int) -> np.ndarray:
     the cascade (_check_order).
 
     Shells T < cutoff are bit for bit those of a cascade to any larger
-    cutoff; shell T = cutoff may round differently, as np.convolve forms its
-    full-overlap output apart.  So a caller that stops early (_shell_cut)
-    gets the full cascade's first shells.
+    cutoff (see _conv_parts); shell T = cutoff may round differently, as
+    np.convolve forms its full-overlap output apart.  So a caller that stops
+    early (_shell_cut) gets the full cascade's first shells.
 
-    A convolution cascade, innermost first, in real arithmetic where it can
-    be: a step whose form coefficients and running shells are both real
-    convolves their real parts only (_conv_parts), so a word of real forms
-    with real inner exponents costs one real convolve per step, under a third
-    of a complex one.  Half of each convolve feeds shells past
-    the cutoff; cutting it blockwise to the lower triangle saves only
-    0.72 -> 0.62 ms at cutoff 2000 on Δ (2-CPU x86 host), too little to pay
-    for its code.
+    A convolution cascade, innermost first, whose steps form only the shells
+    up to the cutoff (_conv_parts).  It runs in float64 while every form and
+    exponent so far is real, with a real exp(-e log T), and in complex from
+    the first complex coefficient or exponent on; the shells are returned
+    complex either way.  A real step costs under a third of a complex one.
     """
     n = cutoff + 1
     log_t = np.log(np.arange(1, n, dtype=float))
     acc = None
     for f, e in zip(reversed(word), reversed(exps)):
-        coeffs = np.zeros(n, dtype=complex)
-        upto = min(cutoff, len(f.coeffs) - 1)
-        coeffs[1 : upto + 1] = f._np_coeffs[1 : upto + 1]
+        e = complex(e)
+        real = f._is_real and (acc is None or acc.dtype == float)
+        coeffs = np.zeros(n, dtype=float if real else complex)
+        upto = min(cutoff, f.order)
+        coeffs[1 : upto + 1] = (f._np_coeffs.real if real else f._np_coeffs)[1 : upto + 1]
         acc = coeffs if acc is None else _conv_parts(coeffs, acc, n)
         with np.errstate(over="ignore"):  # an exponent past the float range: exp(-inf) is the exact 0
-            scaled = -complex(e) * log_t
-        acc[1:] *= np.exp(scaled)
-    return acc
+            scale = np.exp(-(e if e.imag else e.real) * log_t)
+        if scale.dtype != acc.dtype:
+            acc = acc.astype(complex)
+        acc[1:] *= scale
+    return acc.astype(complex, copy=False)
 
 
 # log 2^-53, the unit roundoff: a cascade stops where the proven bound on the

@@ -7,13 +7,13 @@ L(f_1..f_n; s_1..s_n) = (-2 pi i)^{-(s_1+..+s_n)} *
 L_direct sums the series by shells of constant total index T = m_1+..+m_n,
 ascending in T, to at most config.cutoff.  The shells come from
 iterint._shells, whose T = t shell is also the q^t coefficient of the shifted
-integral I-tilde; its convolution cascade convolves real parts only where
-both operands are real, so a word of real forms with real inner exponents
-convolves in real arithmetic only.  Where every form carries a proven growth
-bound (ModularForm.growth), iterint._shell_cut finds the least T0 < cutoff
-past which the shells sum to at most 2^-53 of the first; the cascade stops
-there and tail_estimate is that proven bound.  Elsewhere all cutoff shells
-are summed and tail_estimate extrapolates their fitted decay.
+integral I-tilde; its convolution cascade forms no shell past the cutoff and
+runs in real arithmetic until the first complex coefficient or exponent.
+Where every form carries a proven growth bound (ModularForm.growth),
+iterint._shell_cut finds the least T0 < cutoff past which the shells sum to
+at most 2^-53 of the first; the cascade stops there, the forms need only T0
+coefficients, and tail_estimate is that proven bound.  Elsewhere all cutoff
+shells are summed and tail_estimate extrapolates their fitted decay.
 L_continued evaluates the same function anywhere by expanding it into
 iterated integrals of the forms themselves; evaluate_L_terms and
 evaluate_I_terms sum the Terms of an expansion.
@@ -75,7 +75,8 @@ def convergence_threshold(spec: LSpec) -> float:
 
 def L_direct(spec: LSpec, config: NumericsConfig = NumericsConfig(), force: bool = False) -> LValue:
     C = config.cutoff
-    iterint._check_order(spec.forms, C)
+    cut = iterint._shell_cut(spec.forms, spec.s, C)
+    iterint._check_order(spec.forms, C if cut is None else cut[0])
     need = convergence_threshold(spec)
     s1 = complex(spec.s[0]).real
     if s1 <= need and not force:
@@ -88,7 +89,6 @@ def L_direct(spec: LSpec, config: NumericsConfig = NumericsConfig(), force: bool
     # before the cascade warns of overflow
     sum_s = sum(complex(v) for v in spec.s)
     pref = iterint._closed_power(-2j * cmath.pi, -sum_s, lambda: f"prefactor (-2 pi i)^-({sum_s:.4g})")
-    cut = iterint._shell_cut(spec.forms, spec.s, C)
     if cut is not None:
         T0, log_tail = cut
         # zero-padded to C, so that the pairwise sum groups the shells as the

@@ -84,6 +84,32 @@ def test_repeated_inprocess_runs_identical(capsys):
     assert out1 == out2
 
 
+def test_lvalue_builds_its_forms_only_to_the_cut(capsys, monkeypatch):
+    built = []
+    builtin = forms.builtin
+
+    def recording(name, order):
+        built.append((name, order))
+        return builtin(name, order)
+
+    monkeypatch.setattr(forms, "builtin", recording)
+    # L(delta; 30) stops at shell 5: Delta is built at --order and no further,
+    # and the report, echoed cutoff included, is the one a build to 2000 gave
+    code, rep = run_json(capsys, "lvalue", "delta", "--s", "30")
+    assert code == 0 and built == [("delta", 64)]
+    assert rep["config"]["cutoff"] == 2000
+    assert rep["values"] == [{"label": "L(delta; 30)",
+                              "value": [-1.13397619976778e-24, 6.11177324138156e-39],
+                              "err": 3.86536256214328e-39}]
+    # L(delta; 12) stops at shell 1293, past --order: Delta is built that far
+    built.clear()
+    code, out, _ = run_cli(capsys, "lvalue", "delta", "--s", "12")
+    T0, _ = iterint._shell_cut((builtin("delta", 64),), (12,), 2000)
+    assert code == 0 and built == [("delta", 64), ("delta", T0)] and T0 == 1293
+    full = json.loads(run_cli(capsys, "lvalue", "delta", "--s", "12", "--order", "2000")[1])
+    assert json.loads(out)["values"] == full["values"]
+
+
 def test_exit_codes(capsys):
     assert run_cli(capsys, "no-such-subcommand")[0] == 1
     assert run_cli(capsys, "qexp", "nosuchform")[0] == 1

@@ -4,6 +4,7 @@ i/sqrt(N), and the Fourier evaluator for the shifted integrals."""
 import cmath
 import gc
 import itertools
+import json
 import math
 import random
 import weakref
@@ -674,6 +675,122 @@ def test_shells_match_parent_cascade(names, exps):
     assert np.all(np.abs(got - want) <= 4 * eps * scale)
 
 
+def _gauss_product(op, a, b):
+    """op, a convolution or an elementwise product, of two exact complex
+    arrays (re, im), im None where it is zero."""
+    (a_re, a_im), (b_re, b_im) = a, b
+    re = op(a_re, b_re)
+    if a_im is not None and b_im is not None:
+        re = re - op(a_im, b_im)
+    ims = [op(x, y) for x, y in ((a_re, b_im), (a_im, b_re)) if x is not None and y is not None]
+    return re, sum(ims[1:], ims[0]) if ims else None
+
+
+def _exact_shells(word, exps, cutoff):
+    """The shells of iterint._shells(word, exps, cutoff) in exact arithmetic,
+    as Python-int numerators (re, im) over one denominator, from each form's
+    exact coefficients; im is None while every part so far is real.  An
+    exponent k + ib, k an integer, scales shell T by (D/T)^k / D^k,
+    D = lcm(1..cutoff), and by b != 0 times the phase T^-ib that cmath
+    gives, read exactly: that phase is the one rounded quantity here."""
+    n = cutoff + 1
+    D = math.lcm(*range(1, n))
+    exact = lambda values: np.array([0] + values + [0] * (n - 1 - len(values)), dtype=object)
+    conv = lambda a, b: np.convolve(a, b)[:n]
+    acc = None
+    den = 1
+    for f, e in zip(reversed(word), reversed(exps)):
+        parts = [(Fraction(c.real), Fraction(c.imag)) if isinstance(c, complex) else (Fraction(c), Fraction(0))
+                 for c in f.coeffs[1:n]]
+        scale = math.lcm(*(x.denominator for pair in parts for x in pair))
+        coeffs = (exact([int(a * scale) for a, _ in parts]),
+                  exact([int(b * scale) for _, b in parts]) if any(b for _, b in parts) else None)
+        acc = coeffs if acc is None else _gauss_product(conv, coeffs, acc)
+        e = complex(e)
+        k = int(e.real)
+        acc = _gauss_product(np.multiply, acc, (exact([(D // T) ** k for T in range(1, n)]), None))
+        den *= scale * D**k
+        if e.imag:
+            phase = [cmath.exp(-1j * e.imag * math.log(T)) for T in range(1, n)]
+            acc = _gauss_product(np.multiply, acc, tuple(
+                exact([int(Fraction(getattr(p, part)) * 2**1074) for p in phase]) for part in ("real", "imag")))
+            den *= 2**1074
+    return acc[0], acc[1], den
+
+
+def _loaded_complex_form(tmp_path, order):
+    """A loaded level-1 form with Gaussian-integer coefficients."""
+    rng = random.Random(7)
+    coeffs = [0] + [[rng.randint(-50, 50), rng.randint(-50, 50)] for _ in range(order)]
+    path = tmp_path / "gauss.json"
+    path.write_text(json.dumps({"level": 1, "weight": 12, "label": "gauss", "coeffs": coeffs}))
+    return forms.load_form(path)
+
+
+def _exact_reference_cases(tmp_path):
+    # 52 seeded words of real built-ins with integer exponents; cutoffs up to
+    # 300 and around the block edge at 256 (the cascade's blocks of running
+    # shells start at 0 and are iterint._BLOCK = 256 wide), then a loaded
+    # form with complex coefficients and complex inner exponents
+    rng = random.Random(33)
+    names = ("delta", "E4", "E6", "E8", "E12", "F", "G")
+    cutoffs = [rng.randint(3, 300) for _ in range(44)] + [255, 256, 257, 300] * 2
+    cases = []
+    for i, cutoff in enumerate(cutoffs):
+        depth = 1 + i % 3 if cutoff < 255 else 2 + i % 2
+        word = [forms.builtin(rng.choice(names), 300) for _ in range(depth)]
+        cases.append((word, [rng.randint(0, 6) for _ in word], cutoff))
+    g, d, e4 = _loaded_complex_form(tmp_path, 300), forms.builtin("delta", 300), forms.builtin("E4", 300)
+    cases += [([g, d], [3, 2], 257), ([d, g, e4], [4, 2 + 0.7j, 1], 256), ([e4, d], [2, 3 - 1.1j], 120)]
+    return cases
+
+
+def test_shells_within_a_rounding_bound_of_the_exact_shells(tmp_path):
+    # The bound, to first order in u = 2^-53 and relative to the sum of the
+    # terms' magnitudes M_T (Higham, ch. 3-4); a step's errors reach shell T
+    # scaled by at most the same magnitudes, so they add over the depth d:
+    # - each stored coefficient rounds by u once (E8 and E12 pass 2^53): d u;
+    # - a step's dot products form shell T from at most T + 1 products, each
+    #   within 3u of its value (complex: sqrt(2) gamma_2), and sums them in
+    #   any grouping, blocks included, within T u: (d - 1)(T + 3) u;
+    # - a step's scale T^-e is exp(-e log T): log and exp within 4 ulp = 8u
+    #   each, the product -e log T within u, so 9u |e| log T in the exponent
+    #   plus 8u, and 4u for the product with the shell: (9 |e| log T + 12) u,
+    #   charged twice, since a complex exponent's reference phase rounds too.
+    # The factor 1.01 covers the second-order terms and the rounding of M_T.
+    u = 2.0**-53
+    for word, exps, cutoff in _exact_reference_cases(tmp_path):
+        got = iterint._shells(word, exps, cutoff)
+        re, im, den = _exact_shells(word, exps, cutoff)
+        mags = _parent_cascade(word, exps, cutoff, magnitudes=True).real
+        log_t = np.log(np.maximum(np.arange(cutoff + 1), 1))
+        d = len(word)
+        scaling = sum(2 * (9 * abs(complex(e)) * log_t + 12) for e in exps)
+        bound = 1.01 * u * (d + (d - 1) * (np.arange(cutoff + 1) + 3) + scaling) * mags
+        for T in range(cutoff + 1):
+            parts = []
+            for x, num in ((got[T].real, re[T]), (got[T].imag, 0 if im is None else im[T])):
+                p, q = float(x).as_integer_ratio()
+                parts.append((p * den - num * q) / (q * den))  # int / int rounds correctly
+            assert math.hypot(*parts) <= bound[T], ([f.label for f in word], exps, cutoff, T)
+
+
+@pytest.mark.parametrize("names, exps", [
+    (("delta", "delta"), (14.0, 3.0)),
+    (("E4", "delta", "E6"), (16.5 + 0.5j, 2.0, 4.0)),
+    (("G", "F"), (3.5, 1.5)),
+])
+def test_shell_prefix_does_not_depend_on_the_cutoff(names, exps):
+    # just below, at and past each edge of the 256-wide blocks, and at 1999:
+    # shells 0..C-1 of a cascade to C are those of a cascade to 2000, bit for bit
+    word = [forms.builtin(n, 2000) for n in names]
+    full = iterint._shells(word, exps, 2000)
+    edges = range(iterint._BLOCK, 2000, iterint._BLOCK)
+    for C in sorted({c for edge in edges for c in (edge - 2, edge - 1, edge, edge + 1)} | {1999}):
+        got = iterint._shells(word, exps, C)
+        assert np.array_equal(got[:C].view(np.uint64), full[:C].view(np.uint64)), C
+
+
 def test_tilde_fourier_depth1_analytic(delta2100):
     z = 0.8j
     got = iterint.tilde_I_fourier(make_spec([(delta2100, 2)]), z, CFG)
@@ -768,14 +885,14 @@ def test_tilde_fourier_refuses_a_form_shorter_than_its_shells(delta2100):
     # a form that holds every shell summed keeps its bits, at the cut and
     # uncut at its full order
     for word, order, want in (
-        ([(delta2100, 2)], 1000, ("0x1.bdb4152d2e20cp-9", "0x1.3e2f09499d585p-11")),
-        ([(delta2100, 2), (1, 1), (delta2100, 1)], 2100, ("-0x1.bb3979e1ae139p-20", "-0x1.b8f99a64a56e5p-22")),
+        ([(delta2100, 2)], 1000, ("0x1.bdb4152d2db90p-9", "0x1.3e2f09499d585p-11")),
+        ([(delta2100, 2), (1, 1), (delta2100, 1)], 2100, ("-0x1.bb3979d72ae93p-20", "-0x1.b8f99a64a56e5p-22")),
     ):
         assert _bits(iterint.tilde_I_fourier(make_spec(word), z, CFG.replace(order=order))) == want
     # the check asks for the shells summed, not config.order: to order 400
     # Delta holds the 191 shells of the cut
     got = iterint.tilde_I_fourier(make_spec([(forms.builtin("delta", 400), 2)]), z, CFG.replace(order=1000))
-    assert _bits(got) == ("0x1.bdb4152d2e20cp-9", "0x1.3e2f09499d585p-11")
+    assert _bits(got) == ("0x1.bdb4152d2db90p-9", "0x1.3e2f09499d585p-11")
 
 
 @pytest.mark.parametrize("names, alphas, exps, z, order", [

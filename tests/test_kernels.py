@@ -3,8 +3,8 @@ coefficients with a table of powers of q (forms.horner_many, stopped at the
 points' last significant term; the values are kept on each quad.Chain) and the
 coefficient convolution of the Dirichlet cascades (np.convolve, imported as
 conv_complex by lfun and iterint).  The cascade in iterint._shells hands it
-the real parts of its operands as real arrays when both are real, and the
-complex arrays otherwise.
+blocks of the running shells and the coefficients they reach, as real
+arrays while the word so far is real, and as complex arrays otherwise.
 """
 
 import gc
